@@ -1,10 +1,19 @@
 // The Build / Estimate / Update interface of the paper's simple greedy
 // framework (Algorithm 3.1). Oneshot, Snapshot, and RIS are the three
 // implementations (Algorithms 3.2-3.4).
+//
+// Greedy asks every remaining candidate once per round, so RunGreedy
+// hands a whole round to EstimateAll. The default is the per-vertex
+// Estimate loop in candidate order; an estimator overrides it only when
+// it can batch the round (the condensed Snapshot core walks its worlds
+// once per round instead of once per candidate) without changing a
+// single score or counter.
 
 #ifndef SOLDIST_CORE_ESTIMATOR_H_
 #define SOLDIST_CORE_ESTIMATOR_H_
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,8 +25,8 @@ namespace soldist {
 /// \brief An influence estimator pluggable into the greedy framework.
 ///
 /// Lifecycle: Build() once, then k rounds of { Estimate(v) for candidate
-/// vertices; Update(chosen) }. Implementations track the current seed set
-/// internally through Update.
+/// vertices, or one EstimateAll over them; Update(chosen) }.
+/// Implementations track the current seed set internally through Update.
 class InfluenceEstimator {
  public:
   virtual ~InfluenceEstimator() = default;
@@ -32,6 +41,19 @@ class InfluenceEstimator {
   /// Algorithm 3.2) — "the results will be the same regardless" for
   /// selection purposes (Section 3.2).
   virtual double Estimate(VertexId v) = 0;
+
+  /// One greedy round in one call: out[j] = Estimate(candidates[j]) for
+  /// every j. Contract for overrides: each out[j] bit-equals what the
+  /// per-vertex loop returns, and counters() ends up exactly as after
+  /// that loop, so RunGreedy's seeds, estimates and counters never
+  /// depend on which path ran. The default IS that loop, in candidate
+  /// order (Oneshot's Estimate-time RNG draws stay in order).
+  virtual void EstimateAll(std::span<const VertexId> candidates,
+                           std::span<double> out) {
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      out[j] = Estimate(candidates[j]);
+    }
+  }
 
   /// Commits v as the next seed and refreshes internal state.
   virtual void Update(VertexId v) = 0;

@@ -18,6 +18,14 @@ std::uint64_t VecBytes(const Vec& v) {
   return static_cast<std::uint64_t>(v.capacity() * sizeof(v[0]));
 }
 
+/// out[j] = totals[j] / τ, the same division Estimate performs.
+void DivideTotals(std::span<const std::uint64_t> totals, std::uint64_t tau,
+                  std::span<double> out) {
+  for (std::size_t j = 0; j < totals.size(); ++j) {
+    out[j] = static_cast<double>(totals[j]) / static_cast<double>(tau);
+  }
+}
+
 }  // namespace
 
 /// \brief Per-mode reachability backend. Build consumes the SAME sampler
@@ -29,6 +37,15 @@ class SnapshotEstimator::Backend {
   virtual void Build() = 0;
   /// Σ_i r_i(residual, v) as an exact integer (the caller divides by τ).
   virtual std::uint64_t EstimateTotal(VertexId v) = 0;
+  /// totals[j] = EstimateTotal(candidates[j]) with the same counters; the
+  /// condensed backend batches the round world-major, the full backends
+  /// keep the per-vertex loop.
+  virtual void EstimateTotals(std::span<const VertexId> candidates,
+                              std::span<std::uint64_t> totals) {
+    for (std::size_t j = 0; j < candidates.size(); ++j) {
+      totals[j] = EstimateTotal(candidates[j]);
+    }
+  }
   virtual void Update(VertexId v) = 0;
   /// Σ_i bound_i(v); only the condensed backend implements it.
   virtual std::uint64_t InitialBoundTotal(VertexId v) {
@@ -192,29 +209,40 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 /// \brief The condensed incremental-gain engine, shared by the fresh
 /// kCondensed backend (which owns its worlds) and ArenaSnapshotEstimator
 /// (which borrows a SnapshotArena prefix). Init consumes worlds +
-/// precomputed warmth (sim/snapshot_arena.h); Estimate/Update are the
-/// incrementally maintained marginal gains of PR 4, verbatim.
+/// precomputed warmth (sim/snapshot_arena.h); the gains are maintained
+/// incrementally (see CondensedBackend for the exactness argument).
 ///
 /// Init is deterministic and counter-free: the warm cache entries and
 /// CELF bound totals are pure functions of the worlds (order-independent
 /// integer sums), so the same worlds + warmth always yield byte-identical
-/// state no matter who owns the worlds or how they were chunked.
+/// state no matter who owns the worlds or how they were chunked. The
+/// caller keeps the worlds (comp_of included) and the warmth alive for
+/// the core's lifetime.
+///
+/// Two read paths over the same cache:
+///  * EstimateTotals answers a whole greedy round world-major: per world
+///    it reads that world's comp_of, its contiguous CompState slice and
+///    its generation once, then visits every candidate. A round's
+///    removed set is fixed, so it recomputes exactly the stale (world,
+///    component) pairs the per-vertex loop would — same values, same
+///    component-granular counters.
+///  * EstimateTotal(v) (CELF's lazy re-evaluation) streams v's τ
+///    component ids from a vertex-major transpose of comp_of, built on
+///    the first such call; InitialBoundTotal likewise sums the CELF
+///    bounds on its first call. Plain greedy never pays for either.
 class CondensedGainCore {
  public:
   CondensedGainCore() : visited_(0) {}
 
-  /// Sizes the packed state, pre-seeds the gain cache from warmth's
-  /// exact entries, accumulates the per-vertex CELF bound totals, and
-  /// transposes comp_of vertex-major (comp_of_by_vertex_[v·τ + i]) so
-  /// the Estimate/Update hot loops stream their per-vertex component ids
-  /// sequentially instead of taking one cache miss per snapshot. The
-  /// caller may free each world's comp_of afterwards (the fresh backend
-  /// does; an arena keeps them for point queries).
+  /// Sizes the packed state and pre-seeds the gain cache from warmth's
+  /// exact entries.
   void Init(std::span<const CondensedSnapshot> snaps, VertexId n,
             std::span<const SnapshotWarmth> warmth,
             TraversalCounters* counters) {
     SOLDIST_CHECK(warmth.size() == snaps.size());
     snaps_ = snaps;
+    warmth_ = warmth;
+    n_ = n;
     tau_ = static_cast<std::uint64_t>(snaps.size());
     counters_ = counters;
     std::uint32_t max_components = 0;
@@ -237,13 +265,10 @@ class CondensedGainCore {
     visited_.Resize(max_components);
     queue_.reserve(max_components);
     rqueue_.reserve(max_components);
-    comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n) * tau_);
-    bound_total_.assign(n, 0);
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      const CondensedSnapshot& snap = snaps_[i];
       const SnapshotWarmth& w = warmth[i];
       CompState* state = state_.data() + state_offset_[i];
-      const std::uint32_t num_components = snap.num_components();
+      const std::uint32_t num_components = snaps_[i].num_components();
       for (std::uint32_t c = 0; c < num_components; ++c) {
         if (w.is_exact[c]) {
           // Exact warmth IS the reachable count: pre-seed the gain
@@ -253,16 +278,32 @@ class CondensedGainCore {
           state[c].gen = 1;  // == the initial generation: warm
         }
       }
-      const std::uint32_t* comp_of = snap.comp_of.data();
-      std::uint32_t* transposed = comp_of_by_vertex_.data() + i;
-      for (VertexId v = 0; v < n; ++v) {
-        bound_total_[v] += w.bound[comp_of[v]];
-        transposed[static_cast<std::uint64_t>(v) * tau_] = comp_of[v];
+    }
+  }
+
+  /// totals[j] = EstimateTotal(candidates[j]) for every j, world-major.
+  void EstimateTotals(std::span<const VertexId> candidates,
+                      std::span<std::uint64_t> totals) {
+    std::fill(totals.begin(), totals.end(), 0);
+    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+      const std::uint32_t* comp_of = snaps_[i].comp_of.data();
+      CompState* state = state_.data() + state_offset_[i];
+      const std::uint32_t generation = generation_[i];
+      for (std::size_t j = 0; j < candidates.size(); ++j) {
+        const std::uint32_t c = comp_of[candidates[j]];
+        CompState& cs = state[c];
+        if (cs.gen == kRemovedGen) continue;
+        if (cs.gen != generation) {
+          cs.value = ResidualDagReach(i, c);
+          cs.gen = generation;
+        }
+        totals[j] += cs.value;
       }
     }
   }
 
   std::uint64_t EstimateTotal(VertexId v) {
+    if (comp_of_by_vertex_.empty()) TransposeCompOf();
     std::uint64_t total = 0;
     const std::uint32_t* comps =
         comp_of_by_vertex_.data() + static_cast<std::uint64_t>(v) * tau_;
@@ -280,12 +321,10 @@ class CondensedGainCore {
   }
 
   void Update(VertexId v) {
-    const std::uint32_t* comps =
-        comp_of_by_vertex_.data() + static_cast<std::uint64_t>(v) * tau_;
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       const CondensedSnapshot& snap = snaps_[i];
       CompState* state = state_.data() + state_offset_[i];
-      const std::uint32_t c = comps[i];
+      const std::uint32_t c = snap.comp_of[v];
       if (state[c].gen == kRemovedGen) continue;  // r_i gains nothing
 
       // Forward walk over the live DAG: the components the new seed
@@ -340,11 +379,23 @@ class CondensedGainCore {
     }
   }
 
-  std::uint64_t InitialBoundTotal(VertexId v) const {
+  std::uint64_t InitialBoundTotal(VertexId v) {
+    if (bound_total_.empty()) {
+      bound_total_.assign(n_, 0);
+      for (std::size_t i = 0; i < snaps_.size(); ++i) {
+        const std::uint32_t* comp_of = snaps_[i].comp_of.data();
+        const std::uint32_t* bound = warmth_[i].bound.data();
+        for (VertexId u = 0; u < n_; ++u) {
+          bound_total_[u] += bound[comp_of[u]];
+        }
+      }
+    }
     return bound_total_[v];
   }
 
-  /// Bookkeeping bytes only — the worlds belong to the caller.
+  /// Bookkeeping bytes only — the worlds and warmth belong to the caller.
+  /// The transpose and the bound totals count only once a single-vertex
+  /// call has built them.
   std::uint64_t MemoryBytes() const {
     return VecBytes(bound_total_) + VecBytes(queue_) + VecBytes(rqueue_) +
            VecBytes(state_) + VecBytes(state_offset_) +
@@ -362,6 +413,20 @@ class CondensedGainCore {
     std::uint32_t gen;
   };
   static constexpr std::uint32_t kRemovedGen = ~0u;
+
+  /// comp_of_by_vertex_[v·τ + i] = comp_of[v] of world i, so a
+  /// single-vertex Estimate streams its τ ids instead of taking one cache
+  /// miss per world.
+  void TransposeCompOf() {
+    comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n_) * tau_);
+    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+      const std::uint32_t* comp_of = snaps_[i].comp_of.data();
+      std::uint32_t* transposed = comp_of_by_vertex_.data() + i;
+      for (VertexId v = 0; v < n_; ++v) {
+        transposed[static_cast<std::uint64_t>(v) * tau_] = comp_of[v];
+      }
+    }
+  }
 
   /// Exact residual reach of component c in snapshot i: BFS over the live
   /// DAG summing member counts. Counter accounting is component-granular
@@ -392,15 +457,17 @@ class CondensedGainCore {
   }
 
   std::span<const CondensedSnapshot> snaps_;
+  std::span<const SnapshotWarmth> warmth_;
+  VertexId n_ = 0;
   std::uint64_t tau_ = 0;
   TraversalCounters* counters_ = nullptr;
-  /// comp_of_by_vertex_[v·τ + i] = component of v in snapshot i.
+  /// Lazy: comp_of_by_vertex_[v·τ + i] = component of v in snapshot i.
   std::vector<std::uint32_t> comp_of_by_vertex_;
   std::vector<CompState> state_;            // flat, all snapshots
   std::vector<std::uint64_t> state_offset_; // per snapshot, into state_
   std::vector<std::uint32_t> generation_;   // per snapshot
   std::vector<std::uint32_t> live_;         // live components per snapshot
-  std::vector<std::uint64_t> bound_total_;  // per vertex, Σ_i bound_i
+  std::vector<std::uint64_t> bound_total_;  // lazy, per vertex, Σ_i bound_i
   VisitedMarker visited_;                   // component ids, max-C sized
   std::vector<std::uint32_t> queue_;
   std::vector<std::uint32_t> rqueue_;
@@ -425,12 +492,12 @@ class CondensedGainCore {
 ///    change a value.
 ///
 /// Layout, tuned for the access pattern (τ up to 2^16 snapshots means
-/// every per-snapshot indirection in Estimate is a cache miss):
-///  * comp_of is TRANSPOSED after Build into one vertex-major array —
-///    Estimate(v) streams its τ component ids sequentially;
-///  * per-component state is one packed 8-byte {value, gen} record in a
-///    single flat array (removed = sentinel generation), so the state
-///    lookup is one cache line, not three.
+/// every per-snapshot indirection in a per-vertex Estimate is a cache
+/// miss): a greedy round is answered world-major and CELF's single
+/// vertices from a lazy vertex-major transpose (see CondensedGainCore);
+/// per-component state is one packed 8-byte {value, gen} record in a
+/// single flat array (removed = sentinel generation), so the state
+/// lookup is one cache line, not three.
 class CondensedBackend : public SnapshotEstimator::Backend {
  public:
   CondensedBackend(const InfluenceGraph* ig, std::uint64_t tau,
@@ -470,18 +537,19 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     // each snapshot — the permutation stream below only orders the
     // sketch internals, never the results — so this matches a
     // SnapshotArena's precomputed warmth byte for byte.
-    const std::vector<SnapshotWarmth> warmth = ComputeSnapshotWarmth(
-        snaps_, ig_->num_vertices(), DeriveSeed(seed_, tau_ + 1), sampling_);
-    core_.Init(snaps_, ig_->num_vertices(), warmth, counters_);
-    // comp_of now lives transposed inside the core; free the per-snapshot
-    // copies (a transpose, not a second copy).
-    for (CondensedSnapshot& snap : snaps_) {
-      std::vector<std::uint32_t>().swap(snap.comp_of);
-    }
+    // Kept for the core's lazy CELF bound totals.
+    warmth_ = ComputeSnapshotWarmth(snaps_, ig_->num_vertices(),
+                                    DeriveSeed(seed_, tau_ + 1), sampling_);
+    core_.Init(snaps_, ig_->num_vertices(), warmth_, counters_);
   }
 
   std::uint64_t EstimateTotal(VertexId v) override {
     return core_.EstimateTotal(v);
+  }
+
+  void EstimateTotals(std::span<const VertexId> candidates,
+                      std::span<std::uint64_t> totals) override {
+    core_.EstimateTotals(candidates, totals);
   }
 
   void Update(VertexId v) override { core_.Update(v); }
@@ -493,6 +561,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   std::uint64_t MemoryBytes() const override {
     std::uint64_t bytes = core_.MemoryBytes();
     for (const CondensedSnapshot& snap : snaps_) bytes += snap.MemoryBytes();
+    for (const SnapshotWarmth& w : warmth_) bytes += w.MemoryBytes();
     return bytes;
   }
 
@@ -503,6 +572,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   SamplingOptions sampling_;
   TraversalCounters* counters_;
   std::vector<CondensedSnapshot> snaps_;
+  std::vector<SnapshotWarmth> warmth_;
   CondensedGainCore core_;
 };
 
@@ -540,6 +610,14 @@ double SnapshotEstimator::Estimate(VertexId v) {
          static_cast<double>(tau_);
 }
 
+void SnapshotEstimator::EstimateAll(std::span<const VertexId> candidates,
+                                    std::span<double> out) {
+  SOLDIST_CHECK(built_);
+  totals_.resize(candidates.size());
+  backend_->EstimateTotals(candidates, totals_);
+  DivideTotals(totals_, tau_, out);
+}
+
 void SnapshotEstimator::Update(VertexId v) {
   SOLDIST_CHECK(built_);
   backend_->Update(v);
@@ -561,6 +639,7 @@ std::uint64_t SnapshotEstimator::MemoryBytes() const {
 class ArenaSnapshotEstimator::Core {
  public:
   CondensedGainCore gain;
+  std::vector<std::uint64_t> totals;  // EstimateAll scratch
 };
 
 ArenaSnapshotEstimator::ArenaSnapshotEstimator(const SnapshotArena* arena,
@@ -590,6 +669,15 @@ double ArenaSnapshotEstimator::Estimate(VertexId v) {
   SOLDIST_CHECK(built_);
   return static_cast<double>(core_->gain.EstimateTotal(v)) /
          static_cast<double>(tau_);
+}
+
+void ArenaSnapshotEstimator::EstimateAll(
+    std::span<const VertexId> candidates, std::span<double> out) {
+  SOLDIST_CHECK(built_);
+  std::vector<std::uint64_t>& totals = core_->totals;
+  totals.resize(candidates.size());
+  core_->gain.EstimateTotals(candidates, totals);
+  DivideTotals(totals, tau_, out);
 }
 
 void ArenaSnapshotEstimator::Update(VertexId v) {

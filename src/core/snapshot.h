@@ -17,12 +17,18 @@
 //                 the seed's reachable components removed and invalidates
 //                 cached gains only for their live DAG ancestors, so
 //                 Estimate is a cache hit for every candidate whose reach
-//                 set the last Update did not touch. Bottom-k sketches
-//                 over each DAG (graph/reach_sketch.h) order CELF's first
-//                 iteration through InitialBound — sound upper bounds
-//                 (exact where the sketch saturates below k), so
-//                 selection is unchanged while the lazy queue touches the
-//                 fewest candidates.
+//                 set the last Update did not touch. Plain greedy asks
+//                 for a whole round through EstimateAll, which the
+//                 backend answers world-major: each world's component
+//                 ids and gain cache are read once per round, not once
+//                 per candidate. Bottom-k sketches over each DAG
+//                 (graph/reach_sketch.h) order CELF's first iteration
+//                 through InitialBound — sound upper bounds (exact where
+//                 the sketch saturates below k), so selection is
+//                 unchanged while the lazy queue touches the fewest
+//                 candidates. CELF's single-vertex Estimate reads a
+//                 vertex-major copy of the component ids, built on the
+//                 first such call.
 //
 // Because all three backends consume the SAME sampler streams (legacy
 // sequential or engine-chunked), the choice of backend — like the worker
@@ -34,6 +40,7 @@
 #define SOLDIST_CORE_SNAPSHOT_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/estimator.h"
@@ -65,6 +72,12 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].
   double Estimate(VertexId v) override;
 
+  /// Batched in kCondensed (one world-major pass per round, see
+  /// InfluenceEstimator::EstimateAll for the bit-equality contract); the
+  /// naive and residual backends run the per-vertex loop.
+  void EstimateAll(std::span<const VertexId> candidates,
+                   std::span<double> out) override;
+
   void Update(VertexId v) override;
 
   bool EstimatesAreMarginal() const override { return true; }
@@ -73,9 +86,9 @@ class SnapshotEstimator : public InfluenceEstimator {
   }
   /// kCondensed only: (1/τ) Σ_i bound_i(v), each bound_i sound for
   /// snapshot i (exact when the DAG sketch saturated; otherwise the
-  /// topologically capped successor-sum). Precomputed by Build's sketch
-  /// pass — the same pass that pre-seeds the gain cache — so this is an
-  /// O(1) lookup.
+  /// topologically capped successor-sum). The bounds come from Build's
+  /// sketch pass — the same pass that pre-seeds the gain cache; the first
+  /// call sums them per vertex, every later call is an O(1) lookup.
   double InitialBound(VertexId v) override;
 
   std::uint64_t sample_number() const override { return tau_; }
@@ -87,7 +100,10 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// Heap bytes of estimator-owned state after Build: sample storage plus
   /// per-mode residual bookkeeping and scratch. The condensed backend's
   /// memory win (no raw CSR, component-granular state) is measured here
-  /// by ablation_memory.
+  /// by ablation_memory. In kCondensed the worlds keep their own
+  /// component ids and warmth; the vertex-major copy of the ids and the
+  /// per-vertex bound totals are counted only once a single-vertex
+  /// Estimate or InitialBound has built them (plain greedy never does).
   std::uint64_t MemoryBytes() const;
 
   /// Per-mode reachability backend (an implementation detail defined in
@@ -101,6 +117,7 @@ class SnapshotEstimator : public InfluenceEstimator {
   Mode mode_;
   SamplingOptions sampling_;
   std::unique_ptr<Backend> backend_;
+  std::vector<std::uint64_t> totals_;  // EstimateAll scratch
   TraversalCounters counters_;
   bool built_ = false;
 };
@@ -118,7 +135,9 @@ class SnapshotArena;
 /// the streams are prefix-closed and the precomputed warmth is a pure
 /// function of each world (ctest snapshot_arena_test). Build costs one
 /// warm-state init over the first τ worlds; sampling cost is charged to
-/// counters() via the arena's prefix counter table.
+/// counters() via the arena's prefix counter table. EstimateAll batches
+/// each round world-major over the arena's own component ids, exactly as
+/// the fresh condensed backend does.
 class ArenaSnapshotEstimator : public InfluenceEstimator {
  public:
   ArenaSnapshotEstimator(const SnapshotArena* arena, std::uint64_t tau);
@@ -126,6 +145,8 @@ class ArenaSnapshotEstimator : public InfluenceEstimator {
 
   void Build() override;
   double Estimate(VertexId v) override;
+  void EstimateAll(std::span<const VertexId> candidates,
+                   std::span<double> out) override;
   void Update(VertexId v) override;
   bool EstimatesAreMarginal() const override { return true; }
   bool ProvidesInitialBounds() const override { return true; }
@@ -135,7 +156,8 @@ class ArenaSnapshotEstimator : public InfluenceEstimator {
   std::string name() const override { return "Snapshot"; }
 
   /// Heap bytes of estimator-owned residual bookkeeping (the worlds
-  /// belong to the arena and are not counted here).
+  /// belong to the arena and are not counted here; the vertex-major id
+  /// copy and bound totals count once a single-vertex call built them).
   std::uint64_t MemoryBytes() const;
 
  private:
