@@ -18,14 +18,6 @@ std::uint64_t VecBytes(const Vec& v) {
   return static_cast<std::uint64_t>(v.capacity() * sizeof(v[0]));
 }
 
-/// out[j] = totals[j] / τ, the same division Estimate performs.
-void DivideTotals(std::span<const std::uint64_t> totals, std::uint64_t tau,
-                  std::span<double> out) {
-  for (std::size_t j = 0; j < totals.size(); ++j) {
-    out[j] = static_cast<double>(totals[j]) / static_cast<double>(tau);
-  }
-}
-
 }  // namespace
 
 /// \brief Per-mode reachability backend. Build consumes the SAME sampler
@@ -35,23 +27,23 @@ class SnapshotEstimator::Backend {
  public:
   virtual ~Backend() = default;
   virtual void Build() = 0;
-  /// Σ_i r_i(residual, v) as an exact integer (the caller divides by τ).
-  virtual std::uint64_t EstimateTotal(VertexId v) = 0;
-  /// totals[j] = EstimateTotal(candidates[j]) with the same counters; the
-  /// condensed backend batches the round world-major, the full backends
-  /// keep the per-vertex loop.
-  virtual void EstimateTotals(std::span<const VertexId> candidates,
-                              std::span<std::uint64_t> totals) {
+  /// (1/τ) Σ_i r_i(residual, v).
+  virtual double Estimate(VertexId v) = 0;
+  /// out[j] = Estimate(candidates[j]) with the same counters. The
+  /// condensed backend batches the round world-major; the full backends
+  /// keep this per-vertex loop.
+  virtual void EstimateAll(std::span<const VertexId> candidates,
+                           std::span<double> out) {
     for (std::size_t j = 0; j < candidates.size(); ++j) {
-      totals[j] = EstimateTotal(candidates[j]);
+      out[j] = Estimate(candidates[j]);
     }
   }
   virtual void Update(VertexId v) = 0;
-  /// Σ_i bound_i(v); only the condensed backend implements it.
-  virtual std::uint64_t InitialBoundTotal(VertexId v) {
+  /// (1/τ) Σ_i bound_i(v); only the condensed backend implements it.
+  virtual double InitialBound(VertexId v) {
     (void)v;
     SOLDIST_CHECK(false) << "backend has no initial bounds";
-    return 0;
+    return 0.0;
   }
   virtual std::uint64_t MemoryBytes() const = 0;
 };
@@ -104,7 +96,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
     }
   }
 
-  std::uint64_t EstimateTotal(VertexId v) override {
+  double Estimate(VertexId v) override {
     std::uint64_t total = 0;
     if (mode_ == SnapshotEstimator::Mode::kNaive) {
       scratch_.assign(seeds_.begin(), seeds_.end());
@@ -120,7 +112,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
         total += ResidualReach(i, source, /*mark_removed=*/false);
       }
     }
-    return total;
+    return static_cast<double>(total) / static_cast<double>(tau_);
   }
 
   void Update(VertexId v) override {
@@ -212,37 +204,29 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
 /// precomputed warmth (sim/snapshot_arena.h); the gains are maintained
 /// incrementally (see CondensedBackend for the exactness argument).
 ///
-/// Init is deterministic and counter-free: the warm cache entries and
-/// CELF bound totals are pure functions of the worlds (order-independent
-/// integer sums), so the same worlds + warmth always yield byte-identical
-/// state no matter who owns the worlds or how they were chunked. The
-/// caller keeps the worlds (comp_of included) and the warmth alive for
-/// the core's lifetime.
+/// Init is deterministic and counter-free: the warm cache entries are a
+/// pure function of the worlds, so the same worlds + warmth always yield
+/// byte-identical state no matter who owns the worlds or how they were
+/// chunked. The caller keeps the worlds (comp_of included) alive for the
+/// core's lifetime; the warmth is read only during Init.
 ///
-/// Two read paths over the same cache:
-///  * EstimateTotals answers a whole greedy round world-major: per world
-///    it reads that world's comp_of, its contiguous CompState slice and
-///    its generation once, then visits every candidate. A round's
-///    removed set is fixed, so it recomputes exactly the stale (world,
-///    component) pairs the per-vertex loop would — same values, same
-///    component-granular counters.
-///  * EstimateTotal(v) (CELF's lazy re-evaluation) streams v's τ
-///    component ids from a vertex-major transpose of comp_of, built on
-///    the first such call; InitialBoundTotal likewise sums the CELF
-///    bounds on its first call. Plain greedy never pays for either.
+/// EstimateAll answers a whole greedy round world-major: per world it
+/// reads that world's comp_of, its contiguous CompState slice and its
+/// generation once, then visits every candidate. A round's removed set is
+/// fixed, so it recomputes exactly the stale (world, component) pairs the
+/// per-vertex loop would — same values, same component-granular
+/// counters. A single-vertex Estimate (CELF) is the one-candidate batch.
 class CondensedGainCore {
  public:
   CondensedGainCore() : visited_(0) {}
 
   /// Sizes the packed state and pre-seeds the gain cache from warmth's
   /// exact entries.
-  void Init(std::span<const CondensedSnapshot> snaps, VertexId n,
+  void Init(std::span<const CondensedSnapshot> snaps,
             std::span<const SnapshotWarmth> warmth,
             TraversalCounters* counters) {
     SOLDIST_CHECK(warmth.size() == snaps.size());
     snaps_ = snaps;
-    warmth_ = warmth;
-    n_ = n;
     tau_ = static_cast<std::uint64_t>(snaps.size());
     counters_ = counters;
     std::uint32_t max_components = 0;
@@ -281,10 +265,13 @@ class CondensedGainCore {
     }
   }
 
-  /// totals[j] = EstimateTotal(candidates[j]) for every j, world-major.
-  void EstimateTotals(std::span<const VertexId> candidates,
-                      std::span<std::uint64_t> totals) {
-    std::fill(totals.begin(), totals.end(), 0);
+  /// out[j] = (1/τ) Σ_i r_i(residual, candidates[j]), world-major. Every
+  /// partial sum is an integer at most n·τ, far below 2^53, so
+  /// accumulating in double is exact and out[j] bit-equals the integer
+  /// total divided by τ.
+  void EstimateAll(std::span<const VertexId> candidates,
+                   std::span<double> out) {
+    std::fill(out.begin(), out.end(), 0.0);
     for (std::size_t i = 0; i < snaps_.size(); ++i) {
       const std::uint32_t* comp_of = snaps_[i].comp_of.data();
       CompState* state = state_.data() + state_offset_[i];
@@ -297,27 +284,17 @@ class CondensedGainCore {
           cs.value = ResidualDagReach(i, c);
           cs.gen = generation;
         }
-        totals[j] += cs.value;
+        out[j] += cs.value;
       }
     }
+    for (double& score : out) score /= static_cast<double>(tau_);
   }
 
-  std::uint64_t EstimateTotal(VertexId v) {
-    if (comp_of_by_vertex_.empty()) TransposeCompOf();
-    std::uint64_t total = 0;
-    const std::uint32_t* comps =
-        comp_of_by_vertex_.data() + static_cast<std::uint64_t>(v) * tau_;
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      const std::uint32_t c = comps[i];
-      CompState& cs = state_[state_offset_[i] + c];
-      if (cs.gen == kRemovedGen) continue;
-      if (cs.gen != generation_[i]) {
-        cs.value = ResidualDagReach(i, c);
-        cs.gen = generation_[i];
-      }
-      total += cs.value;
-    }
-    return total;
+  double Estimate(VertexId v) {
+    double score;
+    EstimateAll(std::span<const VertexId>(&v, 1),
+                std::span<double>(&score, 1));
+    return score;
   }
 
   void Update(VertexId v) {
@@ -379,28 +356,11 @@ class CondensedGainCore {
     }
   }
 
-  std::uint64_t InitialBoundTotal(VertexId v) {
-    if (bound_total_.empty()) {
-      bound_total_.assign(n_, 0);
-      for (std::size_t i = 0; i < snaps_.size(); ++i) {
-        const std::uint32_t* comp_of = snaps_[i].comp_of.data();
-        const std::uint32_t* bound = warmth_[i].bound.data();
-        for (VertexId u = 0; u < n_; ++u) {
-          bound_total_[u] += bound[comp_of[u]];
-        }
-      }
-    }
-    return bound_total_[v];
-  }
-
-  /// Bookkeeping bytes only — the worlds and warmth belong to the caller.
-  /// The transpose and the bound totals count only once a single-vertex
-  /// call has built them.
+  /// Bookkeeping bytes only — the worlds belong to the caller.
   std::uint64_t MemoryBytes() const {
-    return VecBytes(bound_total_) + VecBytes(queue_) + VecBytes(rqueue_) +
-           VecBytes(state_) + VecBytes(state_offset_) +
-           VecBytes(generation_) + VecBytes(live_) +
-           VecBytes(comp_of_by_vertex_) +
+    return VecBytes(queue_) + VecBytes(rqueue_) + VecBytes(state_) +
+           VecBytes(state_offset_) + VecBytes(generation_) +
+           VecBytes(live_) +
            static_cast<std::uint64_t>(visited_.size()) * 4;
   }
 
@@ -413,20 +373,6 @@ class CondensedGainCore {
     std::uint32_t gen;
   };
   static constexpr std::uint32_t kRemovedGen = ~0u;
-
-  /// comp_of_by_vertex_[v·τ + i] = comp_of[v] of world i, so a
-  /// single-vertex Estimate streams its τ ids instead of taking one cache
-  /// miss per world.
-  void TransposeCompOf() {
-    comp_of_by_vertex_.resize(static_cast<std::uint64_t>(n_) * tau_);
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      const std::uint32_t* comp_of = snaps_[i].comp_of.data();
-      std::uint32_t* transposed = comp_of_by_vertex_.data() + i;
-      for (VertexId v = 0; v < n_; ++v) {
-        transposed[static_cast<std::uint64_t>(v) * tau_] = comp_of[v];
-      }
-    }
-  }
 
   /// Exact residual reach of component c in snapshot i: BFS over the live
   /// DAG summing member counts. Counter accounting is component-granular
@@ -457,17 +403,12 @@ class CondensedGainCore {
   }
 
   std::span<const CondensedSnapshot> snaps_;
-  std::span<const SnapshotWarmth> warmth_;
-  VertexId n_ = 0;
   std::uint64_t tau_ = 0;
   TraversalCounters* counters_ = nullptr;
-  /// Lazy: comp_of_by_vertex_[v·τ + i] = component of v in snapshot i.
-  std::vector<std::uint32_t> comp_of_by_vertex_;
   std::vector<CompState> state_;            // flat, all snapshots
   std::vector<std::uint64_t> state_offset_; // per snapshot, into state_
   std::vector<std::uint32_t> generation_;   // per snapshot
   std::vector<std::uint32_t> live_;         // live components per snapshot
-  std::vector<std::uint64_t> bound_total_;  // lazy, per vertex, Σ_i bound_i
   VisitedMarker visited_;                   // component ids, max-C sized
   std::vector<std::uint32_t> queue_;
   std::vector<std::uint32_t> rqueue_;
@@ -493,11 +434,11 @@ class CondensedGainCore {
 ///
 /// Layout, tuned for the access pattern (τ up to 2^16 snapshots means
 /// every per-snapshot indirection in a per-vertex Estimate is a cache
-/// miss): a greedy round is answered world-major and CELF's single
-/// vertices from a lazy vertex-major transpose (see CondensedGainCore);
-/// per-component state is one packed 8-byte {value, gen} record in a
-/// single flat array (removed = sentinel generation), so the state
-/// lookup is one cache line, not three.
+/// miss): a greedy round is answered world-major, one pass over each
+/// world's comp_of and state slice (see CondensedGainCore); per-component
+/// state is one packed 8-byte {value, gen} record in a single flat array
+/// (removed = sentinel generation), so the state lookup is one cache
+/// line, not three.
 class CondensedBackend : public SnapshotEstimator::Backend {
  public:
   CondensedBackend(const InfluenceGraph* ig, std::uint64_t tau,
@@ -537,31 +478,36 @@ class CondensedBackend : public SnapshotEstimator::Backend {
     // each snapshot — the permutation stream below only orders the
     // sketch internals, never the results — so this matches a
     // SnapshotArena's precomputed warmth byte for byte.
-    // Kept for the core's lazy CELF bound totals.
-    warmth_ = ComputeSnapshotWarmth(snaps_, ig_->num_vertices(),
-                                    DeriveSeed(seed_, tau_ + 1), sampling_);
-    core_.Init(snaps_, ig_->num_vertices(), warmth_, counters_);
+    const VertexId n = ig_->num_vertices();
+    const std::vector<SnapshotWarmth> warmth = ComputeSnapshotWarmth(
+        snaps_, n, DeriveSeed(seed_, tau_ + 1), sampling_);
+    core_.Init(snaps_, warmth, counters_);
+    // CELF's per-vertex bound totals, summed world-major; the warmth
+    // itself is not kept.
+    bound_total_.assign(n, 0);
+    for (std::size_t i = 0; i < snaps_.size(); ++i) {
+      const std::uint32_t* comp_of = snaps_[i].comp_of.data();
+      const std::uint32_t* bound = warmth[i].bound.data();
+      for (VertexId v = 0; v < n; ++v) bound_total_[v] += bound[comp_of[v]];
+    }
   }
 
-  std::uint64_t EstimateTotal(VertexId v) override {
-    return core_.EstimateTotal(v);
-  }
+  double Estimate(VertexId v) override { return core_.Estimate(v); }
 
-  void EstimateTotals(std::span<const VertexId> candidates,
-                      std::span<std::uint64_t> totals) override {
-    core_.EstimateTotals(candidates, totals);
+  void EstimateAll(std::span<const VertexId> candidates,
+                   std::span<double> out) override {
+    core_.EstimateAll(candidates, out);
   }
 
   void Update(VertexId v) override { core_.Update(v); }
 
-  std::uint64_t InitialBoundTotal(VertexId v) override {
-    return core_.InitialBoundTotal(v);
+  double InitialBound(VertexId v) override {
+    return static_cast<double>(bound_total_[v]) / static_cast<double>(tau_);
   }
 
   std::uint64_t MemoryBytes() const override {
-    std::uint64_t bytes = core_.MemoryBytes();
+    std::uint64_t bytes = core_.MemoryBytes() + VecBytes(bound_total_);
     for (const CondensedSnapshot& snap : snaps_) bytes += snap.MemoryBytes();
-    for (const SnapshotWarmth& w : warmth_) bytes += w.MemoryBytes();
     return bytes;
   }
 
@@ -572,7 +518,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
   SamplingOptions sampling_;
   TraversalCounters* counters_;
   std::vector<CondensedSnapshot> snaps_;
-  std::vector<SnapshotWarmth> warmth_;
+  std::vector<std::uint64_t> bound_total_;  // per vertex, Σ_i bound_i
   CondensedGainCore core_;
 };
 
@@ -606,16 +552,13 @@ void SnapshotEstimator::Build() {
 
 double SnapshotEstimator::Estimate(VertexId v) {
   SOLDIST_CHECK(built_);
-  return static_cast<double>(backend_->EstimateTotal(v)) /
-         static_cast<double>(tau_);
+  return backend_->Estimate(v);
 }
 
 void SnapshotEstimator::EstimateAll(std::span<const VertexId> candidates,
                                     std::span<double> out) {
   SOLDIST_CHECK(built_);
-  totals_.resize(candidates.size());
-  backend_->EstimateTotals(candidates, totals_);
-  DivideTotals(totals_, tau_, out);
+  backend_->EstimateAll(candidates, out);
 }
 
 void SnapshotEstimator::Update(VertexId v) {
@@ -626,8 +569,7 @@ void SnapshotEstimator::Update(VertexId v) {
 double SnapshotEstimator::InitialBound(VertexId v) {
   SOLDIST_CHECK(built_);
   SOLDIST_CHECK(mode_ == Mode::kCondensed);
-  return static_cast<double>(backend_->InitialBoundTotal(v)) /
-         static_cast<double>(tau_);
+  return backend_->InitialBound(v);
 }
 
 std::uint64_t SnapshotEstimator::MemoryBytes() const {
@@ -639,7 +581,6 @@ std::uint64_t SnapshotEstimator::MemoryBytes() const {
 class ArenaSnapshotEstimator::Core {
  public:
   CondensedGainCore gain;
-  std::vector<std::uint64_t> totals;  // EstimateAll scratch
 };
 
 ArenaSnapshotEstimator::ArenaSnapshotEstimator(const SnapshotArena* arena,
@@ -661,23 +602,18 @@ void ArenaSnapshotEstimator::Build() {
   // a fresh build at τ would have accumulated.
   counters_ = arena_->PrefixCounters(tau_);
   core_ = std::make_unique<Core>();
-  core_->gain.Init(arena_->Worlds(tau_), arena_->num_vertices(),
-                   arena_->Warmths(tau_), &counters_);
+  core_->gain.Init(arena_->Worlds(tau_), arena_->Warmths(tau_), &counters_);
 }
 
 double ArenaSnapshotEstimator::Estimate(VertexId v) {
   SOLDIST_CHECK(built_);
-  return static_cast<double>(core_->gain.EstimateTotal(v)) /
-         static_cast<double>(tau_);
+  return core_->gain.Estimate(v);
 }
 
 void ArenaSnapshotEstimator::EstimateAll(
     std::span<const VertexId> candidates, std::span<double> out) {
   SOLDIST_CHECK(built_);
-  std::vector<std::uint64_t>& totals = core_->totals;
-  totals.resize(candidates.size());
-  core_->gain.EstimateTotals(candidates, totals);
-  DivideTotals(totals, tau_, out);
+  core_->gain.EstimateAll(candidates, out);
 }
 
 void ArenaSnapshotEstimator::Update(VertexId v) {
@@ -687,8 +623,15 @@ void ArenaSnapshotEstimator::Update(VertexId v) {
 
 double ArenaSnapshotEstimator::InitialBound(VertexId v) {
   SOLDIST_CHECK(built_);
-  return static_cast<double>(core_->gain.InitialBoundTotal(v)) /
-         static_cast<double>(tau_);
+  // The arena owns the warmth, and CELF asks once per vertex, so the
+  // bound is summed per call rather than cached.
+  const std::span<const CondensedSnapshot> worlds = arena_->Worlds(tau_);
+  const std::span<const SnapshotWarmth> warmth = arena_->Warmths(tau_);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < worlds.size(); ++i) {
+    total += warmth[i].bound[worlds[i].comp_of[v]];
+  }
+  return static_cast<double>(total) / static_cast<double>(tau_);
 }
 
 std::uint64_t ArenaSnapshotEstimator::MemoryBytes() const {

@@ -26,9 +26,8 @@
 //                 through InitialBound — sound upper bounds (exact where
 //                 the sketch saturates below k), so selection is
 //                 unchanged while the lazy queue touches the fewest
-//                 candidates. CELF's single-vertex Estimate reads a
-//                 vertex-major copy of the component ids, built on the
-//                 first such call.
+//                 candidates. CELF's single-vertex Estimate is the
+//                 one-candidate batch.
 //
 // Because all three backends consume the SAME sampler streams (legacy
 // sequential or engine-chunked), the choice of backend — like the worker
@@ -86,9 +85,9 @@ class SnapshotEstimator : public InfluenceEstimator {
   }
   /// kCondensed only: (1/τ) Σ_i bound_i(v), each bound_i sound for
   /// snapshot i (exact when the DAG sketch saturated; otherwise the
-  /// topologically capped successor-sum). The bounds come from Build's
-  /// sketch pass — the same pass that pre-seeds the gain cache; the first
-  /// call sums them per vertex, every later call is an O(1) lookup.
+  /// topologically capped successor-sum). Precomputed by Build's sketch
+  /// pass — the same pass that pre-seeds the gain cache — so this is an
+  /// O(1) lookup.
   double InitialBound(VertexId v) override;
 
   std::uint64_t sample_number() const override { return tau_; }
@@ -100,10 +99,7 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// Heap bytes of estimator-owned state after Build: sample storage plus
   /// per-mode residual bookkeeping and scratch. The condensed backend's
   /// memory win (no raw CSR, component-granular state) is measured here
-  /// by ablation_memory. In kCondensed the worlds keep their own
-  /// component ids and warmth; the vertex-major copy of the ids and the
-  /// per-vertex bound totals are counted only once a single-vertex
-  /// Estimate or InitialBound has built them (plain greedy never does).
+  /// by ablation_memory.
   std::uint64_t MemoryBytes() const;
 
   /// Per-mode reachability backend (an implementation detail defined in
@@ -117,7 +113,6 @@ class SnapshotEstimator : public InfluenceEstimator {
   Mode mode_;
   SamplingOptions sampling_;
   std::unique_ptr<Backend> backend_;
-  std::vector<std::uint64_t> totals_;  // EstimateAll scratch
   TraversalCounters counters_;
   bool built_ = false;
 };
@@ -156,8 +151,7 @@ class ArenaSnapshotEstimator : public InfluenceEstimator {
   std::string name() const override { return "Snapshot"; }
 
   /// Heap bytes of estimator-owned residual bookkeeping (the worlds
-  /// belong to the arena and are not counted here; the vertex-major id
-  /// copy and bound totals count once a single-vertex call built them).
+  /// belong to the arena and are not counted here).
   std::uint64_t MemoryBytes() const;
 
  private:

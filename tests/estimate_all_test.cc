@@ -4,7 +4,8 @@
 // them. The condensed Snapshot core overrides it with a world-major
 // batch, so it is checked against a twin estimator running the loop —
 // fresh and arena-served, on Karate and Physicians, after 0–3 Updates —
-// and mixed use in both orders must agree. RunGreedy, which now drives
+// and mixed use in both orders must agree, as must the arena's and the
+// fresh backend's CELF bounds and runs. RunGreedy, which now drives
 // every round through EstimateAll, must reproduce the per-vertex greedy
 // loop it replaced for every approach and backend.
 
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/celf.h"
 #include "core/factory.h"
 #include "core/greedy.h"
 #include "core/ris.h"
@@ -200,6 +202,42 @@ TEST(EstimateAllTest, MixedSingleAndBatchCallsAgree) {
                           label + " fresh");
       CheckMixedUseAgrees(FromArena(arena, tau).get(),
                           FromArena(arena, tau).get(), n, label + " arena");
+    }
+  }
+}
+
+/// CELF is the single-vertex caller: the arena estimator sums its
+/// bounds per call and the fresh backend at Build, so every InitialBound
+/// must bit-match, and a CELF run over each must pick the same seeds with
+/// the same estimates and counters.
+TEST(EstimateAllTest, ArenaInitialBoundsAndCelfMatchFresh) {
+  constexpr int kK = 4;
+  for (const Workload& w : Workloads()) {
+    const VertexId n = w.ig.num_vertices();
+    const SnapshotArena arena =
+        SnapshotArena::Sample(w.ig, kSeed, kArenaCapacity, SamplingOptions{});
+    for (std::uint64_t tau : {1, 37, 256}) {
+      const std::string label = w.name + " tau=" + std::to_string(tau);
+      std::unique_ptr<InfluenceEstimator> fresh = FreshCondensed(w.ig, tau);
+      std::unique_ptr<InfluenceEstimator> served = FromArena(arena, tau);
+      std::vector<double> fresh_bounds(n);
+      std::vector<double> served_bounds(n);
+      for (VertexId v = 0; v < n; ++v) {
+        fresh_bounds[v] = fresh->InitialBound(v);
+        served_bounds[v] = served->InitialBound(v);
+      }
+      ExpectBitsEq(served_bounds, fresh_bounds, label + " bounds");
+
+      SnapshotEstimator fresh_celf(&w.ig, tau, kSeed,
+                                   SnapshotEstimator::Mode::kCondensed);
+      ArenaSnapshotEstimator served_celf(&arena, tau);
+      Rng tie_a(kSeed), tie_b(kSeed);
+      const CelfRunResult a = RunCelfGreedy(&served_celf, n, kK, &tie_a);
+      const CelfRunResult b = RunCelfGreedy(&fresh_celf, n, kK, &tie_b);
+      EXPECT_EQ(a.greedy.seeds, b.greedy.seeds) << label;
+      ExpectBitsEq(a.greedy.estimates, b.greedy.estimates, label + " celf");
+      EXPECT_EQ(a.estimate_calls, b.estimate_calls) << label;
+      ExpectCountersEq(served_celf.counters(), fresh_celf.counters(), label);
     }
   }
 }
