@@ -29,14 +29,6 @@ WorldScratch* LocalWorldScratch() {
   return &scratch;
 }
 
-/// The manifest's stream-family name — the same component CacheKey
-/// appends, so a persisted arena's identity mirrors its cache key.
-std::string StreamName(const SamplingOptions& sampling) {
-  return sampling.UseEngine()
-             ? "engine/" + std::to_string(sampling.chunk_size)
-             : "seq";
-}
-
 /// The persistence directory of one cache key under the session's
 /// arena_dir ("" = persistence off). Key characters outside
 /// [A-Za-z0-9._-] become '_' so the key is a safe single path segment;
@@ -55,13 +47,57 @@ std::string ArenaDirFor(const std::string& root, const std::string& key) {
   return root + "/" + segment;
 }
 
-/// A failed load is a rebuild, never an error — but say why when the
-/// file existed and did not serve (corruption, version skew, identity
-/// mismatch). A clean miss (kNotFound) stays silent.
-void WarnUnlessNotFound(const char* what, const Status& status) {
-  if (status.code() == StatusCode::kNotFound) return;
-  SOLDIST_LOG(Warning) << what << ": " << status.ToString();
-}
+/// The per-kind hooks of QueryService::AcquireArena.
+struct RrKind {
+  using Arena = RrArena;
+  using View = QueryView;
+  static constexpr ArenaKind kKind = ArenaKind::kRr;
+  static constexpr auto Load = &store::LoadRrArena;
+  static constexpr auto Save = &store::SaveRrArena;
+
+  static Status CheckModel(const ModelInstance&, const api::WorkloadSpec&) {
+    return Status::OK();
+  }
+  static RrArena Sample(const ModelInstance& instance, std::uint64_t seed,
+                        std::uint64_t capacity,
+                        const SamplingOptions& sampling) {
+    return RrArena::SampleFor(instance, seed, capacity, sampling);
+  }
+  /// Convert AFTER save: payloads persist flat, backends reshape in
+  /// RAM. Conversion never changes an answer; failure keeps flat.
+  static void AfterBuild(RrArena* arena, const store::StorageOptions& storage) {
+    if (storage.backend == store::ArenaBackend::kFlat) return;
+    Status converted = arena->ConvertStorage(storage);
+    if (!converted.ok()) {
+      SOLDIST_LOG(Warning) << "cached arena stays flat: "
+                           << converted.ToString();
+    }
+  }
+};
+
+/// Snapshot arenas have no alternate storage backends (no post-build
+/// step) and exist for IC only.
+struct SnapshotKind {
+  using Arena = SnapshotArena;
+  using View = SnapshotQueryView;
+  static constexpr ArenaKind kKind = ArenaKind::kSnapshot;
+  static constexpr auto Load = &store::LoadSnapshotArena;
+  static constexpr auto Save = &store::SaveSnapshotArena;
+
+  static Status CheckModel(const ModelInstance& instance,
+                           const api::WorkloadSpec& workload) {
+    if (instance.model == DiffusionModel::kIc) return Status::OK();
+    return Status::InvalidArgument(
+        "sampled-world views require the IC model: LT snapshots have no "
+        "condensed arena form (workload " + workload.Label() + ")");
+  }
+  static SnapshotArena Sample(const ModelInstance& instance,
+                              std::uint64_t seed, std::uint64_t capacity,
+                              const SamplingOptions& sampling) {
+    return SnapshotArena::Sample(*instance.ig, seed, capacity, sampling);
+  }
+  static void AfterBuild(SnapshotArena*, const store::StorageOptions&) {}
+};
 
 }  // namespace
 
@@ -79,22 +115,24 @@ Status QuerySpec::Validate() const {
   return Status::OK();
 }
 
-QueryView::QueryView(std::shared_ptr<const RrArena> arena,
-                     std::uint64_t count, std::uint64_t requested_tau)
+template <typename Arena>
+ArenaView<Arena>::ArenaView(std::shared_ptr<const Arena> arena,
+                            std::uint64_t count, std::uint64_t requested_tau)
     : arena_(std::move(arena)),
       count_(count),
       requested_tau_(requested_tau == 0 ? count : requested_tau) {
   SOLDIST_CHECK(arena_ != nullptr);
   SOLDIST_CHECK(count_ >= 1);
   SOLDIST_CHECK(count_ <= arena_->capacity())
-      << "view of " << count_ << " sets exceeds arena capacity "
+      << "view of " << count_ << " samples exceeds arena capacity "
       << arena_->capacity();
   SOLDIST_CHECK(requested_tau_ >= count_)
       << "requested_tau " << requested_tau_ << " below served count "
       << count_;
-  full_ = count_ == arena_->capacity();
-  degraded_ = count_ < requested_tau_;
 }
+
+template class ArenaView<RrArena>;
+template class ArenaView<SnapshotArena>;
 
 std::uint64_t QueryView::MarkAndCount(std::span<const VertexId> seeds,
                                       QueryScratch* scratch) const {
@@ -153,9 +191,7 @@ std::uint64_t QueryView::CoveredCount(std::span<const VertexId> seeds,
 
 double QueryView::Spread(std::span<const VertexId> seeds,
                          QueryScratch* scratch) const {
-  return static_cast<double>(num_vertices()) *
-         static_cast<double>(CoveredCount(seeds, scratch)) /
-         static_cast<double>(count_);
+  return PerSample(CoveredCount(seeds, scratch), num_vertices());
 }
 
 double QueryView::Spread(std::span<const VertexId> seeds) const {
@@ -180,8 +216,7 @@ double QueryView::MarginalGain(std::span<const VertexId> seeds, VertexId v,
     }
     ClearMarks(seeds, scratch);
   }
-  return static_cast<double>(num_vertices()) * static_cast<double>(gain) /
-         static_cast<double>(count_);
+  return PerSample(gain, num_vertices());
 }
 
 double QueryView::MarginalGain(std::span<const VertexId> seeds,
@@ -197,9 +232,7 @@ TopKResult QueryView::TopK(int k, const CancelToken* cancel) const {
   TopKResult result;
   result.completed = mc.completed;
   result.covered = mc.covered;
-  result.spread = static_cast<double>(num_vertices()) *
-                  static_cast<double>(mc.covered) /
-                  static_cast<double>(count_);
+  result.spread = PerSample(mc.covered, num_vertices());
   result.seeds = std::move(mc.seeds);
   // Replay the selection on the scratch bitmap to recover the per-seed
   // marginal estimates greedy observed (RunGreedy's estimates column):
@@ -210,30 +243,11 @@ TopKResult QueryView::TopK(int k, const CancelToken* cancel) const {
   for (VertexId seed : result.seeds) {
     const std::uint64_t gain = MarkAndCount({&seed, 1}, scratch);
     replayed += gain;
-    result.estimates.push_back(static_cast<double>(num_vertices()) *
-                               static_cast<double>(gain) /
-                               static_cast<double>(count_));
+    result.estimates.push_back(PerSample(gain, num_vertices()));
   }
   ClearMarks(result.seeds, scratch);
   SOLDIST_DCHECK(replayed == result.covered);
   return result;
-}
-
-SnapshotQueryView::SnapshotQueryView(
-    std::shared_ptr<const SnapshotArena> arena, std::uint64_t count,
-    std::uint64_t requested_tau)
-    : arena_(std::move(arena)),
-      count_(count),
-      requested_tau_(requested_tau == 0 ? count : requested_tau) {
-  SOLDIST_CHECK(arena_ != nullptr);
-  SOLDIST_CHECK(count_ >= 1);
-  SOLDIST_CHECK(count_ <= arena_->capacity())
-      << "view of " << count_ << " worlds exceeds arena capacity "
-      << arena_->capacity();
-  SOLDIST_CHECK(requested_tau_ >= count_)
-      << "requested_tau " << requested_tau_ << " below served count "
-      << count_;
-  degraded_ = count_ < requested_tau_;
 }
 
 std::uint64_t SnapshotQueryView::ReachedInWorld(
@@ -264,15 +278,20 @@ std::uint64_t SnapshotQueryView::ReachedInWorld(
   return reached;
 }
 
-double SnapshotQueryView::Spread(std::span<const VertexId> seeds,
-                                 WorldScratch* scratch) const {
-  if (seeds.empty()) return 0.0;
+std::uint64_t SnapshotQueryView::ReachedTotal(std::span<const VertexId> seeds,
+                                              WorldScratch* scratch) const {
   std::uint64_t total = 0;
   for (std::uint64_t i = 0; i < count_; ++i) {
     scratch->NextVisit(arena_->max_components());
     total += ReachedInWorld(i, seeds, scratch);
   }
-  return static_cast<double>(total) / static_cast<double>(count_);
+  return total;
+}
+
+double SnapshotQueryView::Spread(std::span<const VertexId> seeds,
+                                 WorldScratch* scratch) const {
+  if (seeds.empty()) return 0.0;
+  return PerSample(ReachedTotal(seeds, scratch));
 }
 
 double SnapshotQueryView::Spread(std::span<const VertexId> seeds) const {
@@ -292,7 +311,7 @@ double SnapshotQueryView::MarginalGain(std::span<const VertexId> seeds,
     ReachedInWorld(i, seeds, scratch);
     gain += ReachedInWorld(i, {&v, 1}, scratch);
   }
-  return static_cast<double>(gain) / static_cast<double>(count_);
+  return PerSample(gain);
 }
 
 double SnapshotQueryView::MarginalGain(std::span<const VertexId> seeds,
@@ -345,7 +364,7 @@ double SnapshotQueryView::ReachProbability(VertexId src, VertexId dst,
     }
     if (found) ++hits;
   }
-  return static_cast<double>(hits) / static_cast<double>(count_);
+  return PerSample(hits);
 }
 
 double SnapshotQueryView::ReachProbability(VertexId src, VertexId dst) const {
@@ -365,15 +384,8 @@ TopKResult SnapshotQueryView::TopK(int k, std::uint64_t tie_seed) const {
   result.seeds = std::move(run.seeds);
   result.estimates = std::move(run.estimates);
   // The un-scaled numerator Σ_i |R_i(S)| and the scaled spread.
-  WorldScratch* scratch = LocalWorldScratch();
-  std::uint64_t covered = 0;
-  for (std::uint64_t i = 0; i < count_; ++i) {
-    scratch->NextVisit(arena_->max_components());
-    covered += ReachedInWorld(i, result.seeds, scratch);
-  }
-  result.covered = covered;
-  result.spread =
-      static_cast<double>(covered) / static_cast<double>(count_);
+  result.covered = ReachedTotal(result.seeds, LocalWorldScratch());
+  result.spread = PerSample(result.covered);
   return result;
 }
 
@@ -422,12 +434,15 @@ ResilienceStats QueryService::resilience_stats() const {
   return stats;
 }
 
-StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
-                                       const QuerySpec& spec) {
+template <typename Kind>
+StatusOr<typename Kind::View> QueryService::AcquireArena(
+    const api::WorkloadSpec& workload, const QuerySpec& spec) {
+  using Arena = typename Kind::Arena;
   Status valid = spec.Validate();
   if (!valid.ok()) return valid;
   StatusOr<ModelInstance> instance = session_->ResolveWorkload(workload);
   if (!instance.ok()) return instance.status();
+  SOLDIST_RETURN_IF_ERROR(Kind::CheckModel(instance.value(), workload));
   SamplingOptions sampling =
       session_->SamplingFor(spec.sample_threads, spec.chunk_size);
   // The key is everything that shapes arena CONTENT except its capacity:
@@ -436,17 +451,29 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
   // family (legacy sequential vs chunked engine at a chunk size — see
   // sim/rr_arena.h). Capacity is a lower bound, not an identity, so one
   // arena at the largest τ seen serves every smaller τ as a prefix.
-  std::string key = CacheKey(ArenaKind::kRr, workload, spec, sampling);
-  const Deadline deadline = DeadlineFor(spec);
+  const std::string key = CacheKey(Kind::kKind, workload, spec, sampling);
+  // Serves min(τ, capacity); a short serve is a degraded answer, and a
+  // build that came back short also missed its deadline. The
+  // kind-prefixed key guarantees what stands behind the pointer.
+  const auto serve = [&](ArenaCache::ArenaPtr arena, bool built) {
+    std::shared_ptr<const Arena> typed =
+        std::static_pointer_cast<const Arena>(std::move(arena));
+    const std::uint64_t served =
+        std::min<std::uint64_t>(spec.sample_number, typed->capacity());
+    if (served < spec.sample_number) {
+      degraded_answers_.fetch_add(1, std::memory_order_relaxed);
+      if (built) deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return typename Kind::View(std::move(typed), served, spec.sample_number);
+  };
   // Fast path: fully resident at τ — no admission, no deadline machinery.
   if (ArenaCache::ArenaPtr hit = cache_.TryGet(key, spec.sample_number)) {
-    return QueryView(
-        std::static_pointer_cast<const RrArena>(std::move(hit)),
-        spec.sample_number);
+    return serve(std::move(hit), false);
   }
   // A build is needed: admission-control it so overload sheds instead of
   // stacking builder threads. A shed or queue-timeout request still
   // answers DEGRADED when any prefix of this stream is already resident.
+  const Deadline deadline = DeadlineFor(spec);
   StatusOr<AdmissionController::Ticket> ticket = admission_.Admit(deadline);
   if (!ticket.ok()) {
     if (ticket.status().code() == StatusCode::kUnavailable) {
@@ -456,14 +483,7 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
     }
     ArenaCache::ArenaPtr resident = cache_.LookupResident(key);
     if (resident == nullptr) return ticket.status();
-    std::shared_ptr<const RrArena> rr =
-        std::static_pointer_cast<const RrArena>(std::move(resident));
-    const std::uint64_t served =
-        std::min<std::uint64_t>(spec.sample_number, rr->capacity());
-    if (served < spec.sample_number) {
-      degraded_answers_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return QueryView(std::move(rr), served, spec.sample_number);
+    return serve(std::move(resident), false);
   }
   const ModelInstance resolved = instance.value();
   // Deadline-bound cooperative cancel: the sampler checks the token at
@@ -477,6 +497,7 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
   RetryBudget io_budget(retry_policy_.request_budget);
   RetryBudget* const budget =
       retry_policy_.request_budget > 0 ? &io_budget : nullptr;
+  const std::string dir = ArenaDirFor(session_->options().arena_dir, key);
   const ArenaCache::Builder builder =
       [&](std::uint64_t capacity) -> ArenaCache::ArenaPtr {
     // Persistence (session arena_dir set): load a saved arena whose
@@ -484,63 +505,52 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
     // process. Load/save failures degrade to sampling/serving —
     // persistence can never fail a query — but transient IO errors
     // (kIoError) retry under backoff first, clipped to the deadline.
-    const std::string dir = ArenaDirFor(session_->options().arena_dir, key);
     store::ArenaManifest expected;
-    expected.kind = "rr";
     expected.workload = workload.Label();
     expected.seed = spec.seed;
-    expected.stream = StreamName(sampling);
+    expected.stream = key.substr(key.rfind('#') + 1);
     expected.capacity = capacity;
-    std::shared_ptr<RrArena> built;
+    std::shared_ptr<Arena> built;
     if (!dir.empty()) {
       Status load = RetryWithBackoff(
           retry_policy_, deadline,
           [&]() -> Status {
-            StatusOr<std::shared_ptr<RrArena>> loaded =
-                store::LoadRrArena(dir, expected);
+            StatusOr<std::shared_ptr<Arena>> loaded = Kind::Load(dir, expected);
             if (!loaded.ok()) return loaded.status();
             built = std::move(loaded).value();
             return Status::OK();
           },
           &retries_, /*sleep=*/{}, budget);
-      if (!load.ok()) {
-        WarnUnlessNotFound("arena load failed (resampling)", load);
+      // A failed load is a rebuild, never an error — but say why when
+      // the entry existed and did not serve (corruption, version skew,
+      // identity mismatch). A clean miss (kNotFound) stays silent.
+      if (!load.ok() && load.code() != StatusCode::kNotFound) {
+        SOLDIST_LOG(Warning) << "arena load failed (resampling): "
+                             << load.ToString();
       }
     }
     if (built == nullptr) {
-      if (sampling.pool == nullptr) {
-        built = std::make_shared<RrArena>(
-            RrArena::SampleFor(resolved, spec.seed, capacity, sampling));
-      } else {
-        // Pool-routed build: respect the pools' single-waiter
-        // contract.
-        std::lock_guard<std::mutex> lock(build_mu_);
-        built = std::make_shared<RrArena>(
-            RrArena::SampleFor(resolved, spec.seed, capacity, sampling));
+      {
+        // Pool-routed builds respect the pools' single-waiter contract.
+        std::unique_lock<std::mutex> lock(build_mu_, std::defer_lock);
+        if (sampling.pool != nullptr) lock.lock();
+        built = std::make_shared<Arena>(
+            Kind::Sample(resolved, spec.seed, capacity, sampling));
       }
       // Persist only COMPLETE builds: a deadline-truncated prefix on
       // disk would shadow the full arena for every later process.
       if (!dir.empty() && built->capacity() == capacity) {
         Status saved = RetryWithBackoff(
             retry_policy_, deadline,
-            [&] { return store::SaveRrArena(*built, expected, dir); },
-            &retries_, /*sleep=*/{}, budget);
+            [&] { return Kind::Save(*built, expected, dir); }, &retries_,
+            /*sleep=*/{}, budget);
         if (!saved.ok()) {
           SOLDIST_LOG(Warning) << "arena save failed (serving "
                                   "unpersisted): " << saved.ToString();
         }
       }
     }
-    // Convert AFTER save: payloads persist flat, backends reshape in
-    // RAM. Conversion never changes an answer; failure keeps flat.
-    const store::StorageOptions& storage = session_->options().arena_storage;
-    if (storage.backend != store::ArenaBackend::kFlat) {
-      Status converted = built->ConvertStorage(storage);
-      if (!converted.ok()) {
-        SOLDIST_LOG(Warning)
-            << "cached arena stays flat: " << converted.ToString();
-      }
-    }
+    Kind::AfterBuild(built.get(), session_->options().arena_storage);
     return built;
   };
   // Two attempts: a caller can rendezvous on ANOTHER request's build
@@ -552,126 +562,17 @@ StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
     arena = cache_.GetOrBuild(key, spec.sample_number, builder);
     if (arena->capacity() >= spec.sample_number || deadline.expired()) break;
   }
-  std::shared_ptr<const RrArena> rr =
-      std::static_pointer_cast<const RrArena>(std::move(arena));
-  const std::uint64_t served =
-      std::min<std::uint64_t>(spec.sample_number, rr->capacity());
-  if (served < spec.sample_number) {
-    degraded_answers_.fetch_add(1, std::memory_order_relaxed);
-    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // The kind-prefixed key guarantees what stands behind it.
-  return QueryView(std::move(rr), served, spec.sample_number);
+  return serve(std::move(arena), true);
+}
+
+StatusOr<QueryView> QueryService::View(const api::WorkloadSpec& workload,
+                                       const QuerySpec& spec) {
+  return AcquireArena<RrKind>(workload, spec);
 }
 
 StatusOr<SnapshotQueryView> QueryService::SnapshotView(
     const api::WorkloadSpec& workload, const QuerySpec& spec) {
-  Status valid = spec.Validate();
-  if (!valid.ok()) return valid;
-  StatusOr<ModelInstance> instance = session_->ResolveWorkload(workload);
-  if (!instance.ok()) return instance.status();
-  if (instance.value().model != DiffusionModel::kIc) {
-    return Status::InvalidArgument(
-        "sampled-world views require the IC model: LT snapshots have no "
-        "condensed arena form (workload " + workload.Label() + ")");
-  }
-  SamplingOptions sampling =
-      session_->SamplingFor(spec.sample_threads, spec.chunk_size);
-  std::string key = CacheKey(ArenaKind::kSnapshot, workload, spec, sampling);
-  const Deadline deadline = DeadlineFor(spec);
-  if (ArenaCache::ArenaPtr hit = cache_.TryGet(key, spec.sample_number)) {
-    return SnapshotQueryView(
-        std::static_pointer_cast<const SnapshotArena>(std::move(hit)),
-        spec.sample_number);
-  }
-  // Same admission / degraded-answer discipline as View.
-  StatusOr<AdmissionController::Ticket> ticket = admission_.Admit(deadline);
-  if (!ticket.ok()) {
-    if (ticket.status().code() == StatusCode::kUnavailable) {
-      shed_requests_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ArenaCache::ArenaPtr resident = cache_.LookupResident(key);
-    if (resident == nullptr) return ticket.status();
-    std::shared_ptr<const SnapshotArena> snap =
-        std::static_pointer_cast<const SnapshotArena>(std::move(resident));
-    const std::uint64_t served =
-        std::min<std::uint64_t>(spec.sample_number, snap->capacity());
-    if (served < spec.sample_number) {
-      degraded_answers_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return SnapshotQueryView(std::move(snap), served, spec.sample_number);
-  }
-  const ModelInstance resolved = instance.value();
-  CancelToken cancel([deadline] { return deadline.expired(); });
-  if (!deadline.unlimited()) sampling.cancel = &cancel;
-  // Request-shared IO attempt pool, exactly as in View.
-  RetryBudget io_budget(retry_policy_.request_budget);
-  RetryBudget* const budget =
-      retry_policy_.request_budget > 0 ? &io_budget : nullptr;
-  const ArenaCache::Builder builder =
-      [&](std::uint64_t capacity) -> ArenaCache::ArenaPtr {
-    // Same persistence discipline as the RR builder; snapshot arenas
-    // have no alternate storage backends, so no conversion step.
-    const std::string dir = ArenaDirFor(session_->options().arena_dir, key);
-    store::ArenaManifest expected;
-    expected.kind = "snapshot";
-    expected.workload = workload.Label();
-    expected.seed = spec.seed;
-    expected.stream = StreamName(sampling);
-    expected.capacity = capacity;
-    std::shared_ptr<SnapshotArena> built;
-    if (!dir.empty()) {
-      Status load = RetryWithBackoff(
-          retry_policy_, deadline,
-          [&]() -> Status {
-            StatusOr<std::shared_ptr<SnapshotArena>> loaded =
-                store::LoadSnapshotArena(dir, expected);
-            if (!loaded.ok()) return loaded.status();
-            built = std::move(loaded).value();
-            return Status::OK();
-          },
-          &retries_, /*sleep=*/{}, budget);
-      if (!load.ok()) {
-        WarnUnlessNotFound("arena load failed (resampling)", load);
-      }
-      if (built != nullptr) return built;
-    }
-    if (sampling.pool == nullptr) {
-      built = std::make_shared<SnapshotArena>(SnapshotArena::Sample(
-          *resolved.ig, spec.seed, capacity, sampling));
-    } else {
-      std::lock_guard<std::mutex> lock(build_mu_);
-      built = std::make_shared<SnapshotArena>(SnapshotArena::Sample(
-          *resolved.ig, spec.seed, capacity, sampling));
-    }
-    if (!dir.empty() && built->capacity() == capacity) {
-      Status saved = RetryWithBackoff(
-          retry_policy_, deadline,
-          [&] { return store::SaveSnapshotArena(*built, expected, dir); },
-          &retries_, /*sleep=*/{}, budget);
-      if (!saved.ok()) {
-        SOLDIST_LOG(Warning) << "arena save failed (serving "
-                                "unpersisted): " << saved.ToString();
-      }
-    }
-    return built;
-  };
-  ArenaCache::ArenaPtr arena;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    arena = cache_.GetOrBuild(key, spec.sample_number, builder);
-    if (arena->capacity() >= spec.sample_number || deadline.expired()) break;
-  }
-  std::shared_ptr<const SnapshotArena> snap =
-      std::static_pointer_cast<const SnapshotArena>(std::move(arena));
-  const std::uint64_t served =
-      std::min<std::uint64_t>(spec.sample_number, snap->capacity());
-  if (served < spec.sample_number) {
-    degraded_answers_.fetch_add(1, std::memory_order_relaxed);
-    deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return SnapshotQueryView(std::move(snap), served, spec.sample_number);
+  return AcquireArena<SnapshotKind>(workload, spec);
 }
 
 std::string QueryService::CacheKey(ArenaKind kind,

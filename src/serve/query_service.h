@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -116,36 +117,59 @@ struct TopKResult {
   bool completed = true;
 };
 
-/// \brief An immutable point-query view over the first `sample_number`
-/// sets of a shared arena. Copyable (it co-owns the arena); every method
-/// is const and lock-free — concurrency-safe by immutability.
-class QueryView {
+/// \brief What every arena view carries: the co-owned arena, the count
+/// it serves, and the τ the request asked for. Views are normally minted
+/// by QueryService; the public ctor exists for benches/tests that bring
+/// their own arena. `requested_tau` (0 = same as `count`) records what
+/// the caller asked for: when count < requested_tau the view is DEGRADED
+/// — an exact answer at the smaller τ it actually serves (prefix-closed
+/// streams), tagged so callers can tell a full answer from a best-effort
+/// one (deadline miss or shed — see serve/resilience.h). Non-virtual:
+/// the derived views add the query kernels.
+template <typename Arena>
+class ArenaView {
  public:
-  /// Views are normally minted by QueryService::View; the public ctor
-  /// exists for benches/tests that bring their own arena.
-  /// `requested_tau` (0 = same as `count`) records what the caller asked
-  /// for: when count < requested_tau the view is DEGRADED — an exact
-  /// answer at the smaller τ it actually serves (prefix-closed streams),
-  /// tagged so callers can tell a full answer from a best-effort one.
-  QueryView(std::shared_ptr<const RrArena> arena, std::uint64_t count,
+  ArenaView(std::shared_ptr<const Arena> arena, std::uint64_t count,
             std::uint64_t requested_tau = 0);
 
   /// Empty placeholder (StatusOr's error arm); querying one is a
   /// programmer error caught by SOLDIST_DCHECK.
-  QueryView() = default;
+  ArenaView() = default;
 
   VertexId num_vertices() const { return arena_->num_vertices(); }
   std::uint64_t sample_number() const { return count_; }
-  const RrArena& arena() const { return *arena_; }
+  const Arena& arena() const { return *arena_; }
 
-  /// True when this view serves fewer sets than the request asked for
-  /// (deadline miss or shed — see serve/resilience.h). Its answers are
-  /// still exact RIS estimates at served_tau().
-  bool degraded() const { return degraded_; }
+  /// True when this view serves fewer samples than the request asked
+  /// for. Its answers are still exact estimates at served_tau().
+  bool degraded() const { return count_ < requested_tau_; }
   /// The τ the view actually answers at (== sample_number()).
   std::uint64_t served_tau() const { return count_; }
   /// The τ the request asked for (>= served_tau()).
   std::uint64_t requested_tau() const { return requested_tau_; }
+
+ protected:
+  /// The estimate scale · total / τ over the served samples: n-scaled
+  /// for RIS coverage, unscaled (1.0 is exact) for per-world means.
+  double PerSample(std::uint64_t total, double scale = 1.0) const {
+    return scale * static_cast<double>(total) / static_cast<double>(count_);
+  }
+
+  std::shared_ptr<const Arena> arena_;
+  std::uint64_t count_ = 0;
+  std::uint64_t requested_tau_ = 0;
+};
+
+/// \brief An immutable point-query view over the first `sample_number`
+/// sets of a shared arena. Copyable (it co-owns the arena); every method
+/// is const and lock-free — concurrency-safe by immutability.
+class QueryView : public ArenaView<RrArena> {
+ public:
+  QueryView(std::shared_ptr<const RrArena> arena, std::uint64_t count,
+            std::uint64_t requested_tau = 0)
+      : ArenaView(std::move(arena), count, requested_tau),
+        full_(count_ == arena_->capacity()) {}
+  QueryView() = default;
 
   /// RIS spread estimate n · |covered(seeds)| / τ. O(Σ|list(v)| / 64)
   /// words touched; a single-seed query is O(log capacity) — the covered
@@ -199,11 +223,7 @@ class QueryView {
   void ClearMarks(std::span<const VertexId> seeds,
                   QueryScratch* scratch) const;
 
-  std::shared_ptr<const RrArena> arena_;
-  std::uint64_t count_ = 0;
-  std::uint64_t requested_tau_ = 0;
-  bool full_ = false;      ///< count_ == arena capacity: no cut needed
-  bool degraded_ = false;  ///< count_ < requested_tau_
+  bool full_ = false;  ///< count_ == arena capacity: no cut needed
 };
 
 /// \brief Per-thread scratch for sampled-world DAG walks: a generation-
@@ -233,7 +253,6 @@ class WorldScratch {
     stamp_[c] = gen_;
     return true;
   }
-  bool Visited(std::uint32_t c) const { return stamp_[c] == gen_; }
 
   std::vector<std::uint32_t> stamp_;
   std::uint32_t gen_ = 0;
@@ -251,27 +270,9 @@ class WorldScratch {
 /// the cross-check). ReachProbability and ExpectedReach are the
 /// per-world analytics an RR-set collection cannot answer: they need the
 /// worlds themselves, which only this arena kind retains.
-class SnapshotQueryView {
+class SnapshotQueryView : public ArenaView<SnapshotArena> {
  public:
-  /// Views are normally minted by QueryService::SnapshotView; the public
-  /// ctor exists for benches/tests that bring their own arena.
-  /// `requested_tau` as in QueryView: 0 = same as `count`, and a view
-  /// with count < requested_tau is tagged degraded.
-  SnapshotQueryView(std::shared_ptr<const SnapshotArena> arena,
-                    std::uint64_t count, std::uint64_t requested_tau = 0);
-
-  /// Empty placeholder (StatusOr's error arm); querying one is a
-  /// programmer error caught by SOLDIST_DCHECK.
-  SnapshotQueryView() = default;
-
-  VertexId num_vertices() const { return arena_->num_vertices(); }
-  std::uint64_t sample_number() const { return count_; }
-  const SnapshotArena& arena() const { return *arena_; }
-
-  /// Degraded-answer tags; same contract as QueryView.
-  bool degraded() const { return degraded_; }
-  std::uint64_t served_tau() const { return count_; }
-  std::uint64_t requested_tau() const { return requested_tau_; }
+  using ArenaView::ArenaView;
 
   /// Expected reached-vertex count of seed set S: (1/τ) Σ_i |R_i(S)|.
   /// One multi-source DAG BFS per world, component-granular.
@@ -312,11 +313,9 @@ class SnapshotQueryView {
   std::uint64_t ReachedInWorld(std::uint64_t i,
                                std::span<const VertexId> seeds,
                                WorldScratch* scratch) const;
-
-  std::shared_ptr<const SnapshotArena> arena_;
-  std::uint64_t count_ = 0;
-  std::uint64_t requested_tau_ = 0;
-  bool degraded_ = false;  ///< count_ < requested_tau_
+  /// Σ_i |R_i(seeds)| over the view's worlds (the un-scaled Spread).
+  std::uint64_t ReachedTotal(std::span<const VertexId> seeds,
+                             WorldScratch* scratch) const;
 };
 
 /// \brief The service: Session-resolved workloads → cached arenas →
@@ -350,7 +349,8 @@ class QueryService {
 
   /// Resolves the workload (Status on unknown network / invalid model
   /// combination — never a CHECK) and returns a view of τ =
-  /// spec.sample_number RR sets. The cache key deliberately EXCLUDES τ:
+  /// spec.sample_number RR sets. View and SnapshotView are one
+  /// acquisition pipeline (AcquireArena) over a per-kind trait. The cache key deliberately EXCLUDES τ:
   /// prefix-closed streams mean one arena at the largest τ seen serves
   /// every smaller τ as a byte-identical prefix, so repeat views are
   /// pure cache hits.
@@ -390,8 +390,20 @@ class QueryService {
   void RunScrubCycle();
 
  private:
+  /// The shared serving sequence behind View and SnapshotView: validate
+  /// → resolve → key → cache fast path → admit / shed / degrade → cancel
+  /// token + request retry budget → load-or-sample-then-save → two-attempt
+  /// GetOrBuild → degrade accounting. `Kind` is a per-kind trait (arena
+  /// and view types, model check, sampler, store load/save, post-build
+  /// step) defined in query_service.cc.
+  template <typename Kind>
+  StatusOr<typename Kind::View> AcquireArena(
+      const api::WorkloadSpec& workload, const QuerySpec& spec);
+
   /// One key format for both arena families: kind # workload label #
-  /// seed # stream family. τ is deliberately absent (see View).
+  /// seed # stream family. τ is deliberately absent (see View); the
+  /// stream family after the last '#' doubles as the persisted
+  /// manifest's stream name.
   static std::string CacheKey(ArenaKind kind,
                               const api::WorkloadSpec& workload,
                               const QuerySpec& spec,

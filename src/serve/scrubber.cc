@@ -1,8 +1,6 @@
 #include "serve/scrubber.h"
 
-#include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <utility>
 #include <vector>
 
@@ -12,30 +10,6 @@
 
 namespace soldist {
 namespace serve {
-namespace {
-
-namespace fs = std::filesystem;
-
-/// Sorted entry directories under an arena root (quarantine excluded) —
-/// the disk pass's rotation set. Listed fresh each cycle: entries
-/// appear/disappear while the service runs.
-std::vector<std::string> ListEntryDirs(const std::string& root) {
-  std::vector<std::string> dirs;
-  if (root.empty()) return dirs;
-  std::error_code ec;
-  fs::directory_iterator it(root, ec);
-  if (ec) return dirs;
-  for (const fs::directory_entry& entry : it) {
-    std::error_code type_ec;
-    if (!entry.is_directory(type_ec)) continue;
-    if (entry.path().filename().string() == "quarantine") continue;
-    dirs.push_back(entry.path().string());
-  }
-  std::sort(dirs.begin(), dirs.end());
-  return dirs;
-}
-
-}  // namespace
 
 Scrubber::Scrubber(ArenaCache* cache, std::string arena_dir,
                    std::uint64_t interval_ms, ClockMicrosFn clock)
@@ -95,17 +69,15 @@ bool Scrubber::MaybeScrub() {
 }
 
 void Scrubber::RunCycle() {
-  std::size_t resident_index = 0;
-  std::size_t disk_index = 0;
+  std::size_t index = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.cycles;
     last_cycle_us_ = clock_ ? clock_() : SteadyNowMicros();
-    resident_index = resident_cursor_++;
-    disk_index = disk_cursor_++;
+    index = cursor_++;
   }
-  ScrubResidentAt(resident_index);
-  ScrubDiskAt(disk_index);
+  ScrubResidentAt(index);
+  ScrubDiskAt(index);
 }
 
 void Scrubber::ScrubAll() {
@@ -116,7 +88,7 @@ void Scrubber::ScrubAll() {
   }
   const std::size_t residents = cache_->ResidentEntries().size();
   for (std::size_t i = 0; i < residents; ++i) ScrubResidentAt(i);
-  const std::size_t entries = ListEntryDirs(arena_dir_).size();
+  const std::size_t entries = store::ListArenaEntries(arena_dir_).size();
   for (std::size_t i = 0; i < entries; ++i) ScrubDiskAt(i);
 }
 
@@ -147,9 +119,9 @@ void Scrubber::ScrubResidentAt(std::size_t index) {
   if (invalidated) ++stats_.invalidations;
 }
 
-std::size_t Scrubber::ScrubDiskAt(std::size_t index) {
-  const std::vector<std::string> dirs = ListEntryDirs(arena_dir_);
-  if (dirs.empty()) return 0;
+void Scrubber::ScrubDiskAt(std::size_t index) {
+  const std::vector<std::string> dirs = store::ListArenaEntries(arena_dir_);
+  if (dirs.empty()) return;
   const std::string& dir = dirs[index % dirs.size()];
   const Status verified = store::VerifyArena(dir);
   if (verified.code() == StatusCode::kNotFound) {
@@ -157,7 +129,7 @@ std::size_t Scrubber::ScrubDiskAt(std::size_t index) {
     // a save that is mid-flight RIGHT NOW (payload committed, manifest
     // not yet) — never quarantine what the commit protocol can still
     // complete.
-    return dirs.size();
+    return;
   }
   bool quarantined = false;
   if (!verified.ok()) {
@@ -175,7 +147,6 @@ std::size_t Scrubber::ScrubDiskAt(std::size_t index) {
   ++stats_.disk_checked;
   if (!verified.ok()) ++stats_.disk_corruptions;
   if (quarantined) ++stats_.quarantined;
-  return dirs.size();
 }
 
 ScrubStats Scrubber::stats() const {

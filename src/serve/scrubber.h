@@ -11,14 +11,17 @@
 //                   next request rebuilds byte-identically from the
 //                   cache key) and never served again.
 //   disk pass       store::VerifyArena one persisted entry per cycle
-//                   (manifest + payload checksum + header). A failing
-//                   entry is quarantined with store::QuarantineEntry so
-//                   a later process can neither load nor trust it.
+//                   of store::ListArenaEntries (the recovery plan's
+//                   own listing): manifest + payload presence, checksum
+//                   and header. A failing entry — a committed manifest
+//                   naming a missing payload included — is quarantined
+//                   with store::QuarantineEntry so a later process can
+//                   neither load nor trust it.
 //
-// Both passes are INCREMENTAL — round-robin cursors walk the entry sets
-// one element per cycle, so a scrub cycle's cost is one arena hash or
-// one payload read, never a full sweep stall. ScrubAll() (REPL `scrub`,
-// tests) runs the cursors through a complete rotation synchronously.
+// Both passes are INCREMENTAL — one round-robin cursor walks both entry
+// sets one element per cycle, so a scrub cycle's cost is one arena hash
+// or one payload read, never a full sweep stall. ScrubAll() (REPL
+// `scrub`, tests) runs a complete rotation synchronously.
 //
 // Scheduling is clock-driven and injectable: MaybeScrub() consults the
 // ClockMicrosFn and runs one cycle when `interval_ms` has elapsed, so
@@ -98,9 +101,9 @@ class Scrubber {
 
  private:
   void ScrubResidentAt(std::size_t index);
-  /// Verifies persisted entry dir `index` of the sorted listing;
-  /// returns the number of entry dirs seen (0 = no disk pass).
-  std::size_t ScrubDiskAt(std::size_t index);
+  /// Verifies entry dir `index` (mod the entry count) of
+  /// store::ListArenaEntries — the recovery plan's own listing.
+  void ScrubDiskAt(std::size_t index);
   void ThreadMain();
 
   ArenaCache* const cache_;
@@ -108,10 +111,11 @@ class Scrubber {
   const std::uint64_t interval_ms_;
   const ClockMicrosFn clock_;
 
-  mutable std::mutex mu_;  ///< guards cursors, counters, last_cycle_us_
+  mutable std::mutex mu_;  ///< guards cursor_, counters, last_cycle_us_
   std::uint64_t last_cycle_us_ = 0;
-  std::size_t resident_cursor_ = 0;
-  std::size_t disk_cursor_ = 0;
+  /// Round-robin position of both passes (each takes it modulo its own
+  /// entry count, so the two sets rotate independently).
+  std::size_t cursor_ = 0;
   ScrubStats stats_;
 
   std::mutex thread_mu_;  ///< guards thread_/stop_ with cv_

@@ -3,10 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -22,8 +24,10 @@ namespace {
 // produced on an opposite-endian machine reads back as a different value
 // and the load fails cleanly instead of deserializing garbage.
 constexpr std::uint64_t kPayloadMagic = 0x534F4C4441524E41ull;
-constexpr std::uint32_t kKindRr = 0;
-constexpr std::uint32_t kKindSnapshot = 1;
+// The payload header's kind tag is the ArenaKind value: part of the
+// on-disk format, so the enum order is pinned here.
+static_assert(static_cast<std::uint32_t>(ArenaKind::kRr) == 0 &&
+              static_cast<std::uint32_t>(ArenaKind::kSnapshot) == 1);
 
 constexpr char kManifestFile[] = "/manifest.txt";
 constexpr char kPayloadFile[] = "/payload.bin";
@@ -73,6 +77,33 @@ Status CommitFile(const std::string& tmp, const std::string& path) {
   return SyncParentDir(path);
 }
 
+/// Writes then fsyncs `size` bytes into the open `fd` — the write and
+/// sync fault boundaries of WriteFileDurably (a torn write persists only
+/// a prefix and still reports success).
+Status WriteAndSync(int fd, const std::string& tmp, const std::uint8_t* data,
+                    std::size_t size, FaultInjector* inject) {
+  if (inject != nullptr) {
+    SOLDIST_RETURN_IF_ERROR(inject->Check(FaultOp::kWrite, tmp));
+    size = inject->MutilateWriteSize(size);
+  }
+  for (std::size_t written = 0; written < size;) {
+    const ssize_t n = ::write(fd, data + written, size - written);
+    if (n < 0 && errno != EINTR) {
+      return Status::IoError("write to '" + tmp +
+                             "' failed: " + std::strerror(errno));
+    }
+    if (n > 0) written += static_cast<std::size_t>(n);
+  }
+  if (inject != nullptr) {
+    SOLDIST_RETURN_IF_ERROR(inject->Check(FaultOp::kSync, tmp));
+  }
+  if (::fsync(fd) != 0) {
+    return Status::IoError("fsync of '" + tmp +
+                           "' failed: " + std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 /// Durably writes `size` bytes through the tmp + atomic-rename protocol:
 /// open/write/fsync `path + ".tmp"` (each an injectable fault boundary;
 /// a torn write persists a prefix of the TMP file and still commits it —
@@ -90,42 +121,12 @@ Status WriteFileDurably(const std::string& path, const std::uint8_t* data,
     return Status::IoError("cannot open '" + tmp + "' for writing: " +
                            std::strerror(errno));
   }
-  std::size_t write_size = size;
-  if (inject != nullptr) {
-    Status faulted = inject->Check(FaultOp::kWrite, tmp);
-    if (!faulted.ok()) {
-      ::close(fd);
-      return faulted;
-    }
-    write_size = inject->MutilateWriteSize(write_size);
-  }
-  std::size_t written = 0;
-  while (written < write_size) {
-    const ssize_t n = ::write(fd, data + written, write_size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return Status::IoError("write to '" + tmp + "' failed: " + err);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (inject != nullptr) {
-    Status faulted = inject->Check(FaultOp::kSync, tmp);
-    if (!faulted.ok()) {
-      ::close(fd);
-      return faulted;
-    }
-  }
-  if (::fsync(fd) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("fsync of '" + tmp + "' failed: " + err);
-  }
-  if (::close(fd) != 0) {
+  const Status written = WriteAndSync(fd, tmp, data, size, inject);
+  if (::close(fd) != 0 && written.ok()) {
     return Status::IoError("close of '" + tmp +
                            "' failed: " + std::strerror(errno));
   }
+  SOLDIST_RETURN_IF_ERROR(written);
   return CommitFile(tmp, path);
 }
 
@@ -144,11 +145,13 @@ class PayloadWriter {
     if (!v.empty()) PutRaw(v.data(), v.size() * sizeof(T));
   }
 
-  void PutCounters(const TraversalCounters& c) {
-    PutU64(c.vertices);
-    PutU64(c.edges);
-    PutU64(c.sample_vertices);
-    PutU64(c.sample_edges);
+  /// One sample's counters: the step between two running totals.
+  void PutCounterDelta(const TraversalCounters& cum,
+                       const TraversalCounters& prev) {
+    PutU64(cum.vertices - prev.vertices);
+    PutU64(cum.edges - prev.edges);
+    PutU64(cum.sample_vertices - prev.sample_vertices);
+    PutU64(cum.sample_edges - prev.sample_edges);
   }
 
   /// Durable tmp+rename write with an fsync BEFORE the caller writes
@@ -181,6 +184,7 @@ class PayloadWriter {
 /// Status from the caller, never an out-of-bounds read.
 class PayloadReader {
  public:
+  PayloadReader() = default;
   explicit PayloadReader(std::vector<std::uint8_t> bytes)
       : bytes_(std::move(bytes)) {}
 
@@ -197,12 +201,51 @@ class PayloadReader {
     return count == 0 || GetRaw(v->data(), count * sizeof(T));
   }
 
+  /// GetVector whose every element must lie below `bound`.
+  template <typename T>
+  bool GetBounded(std::uint64_t count, std::uint64_t bound,
+                  std::vector<T>* v) {
+    if (!GetVector(count, v)) return false;
+    return std::all_of(v->begin(), v->end(),
+                       [bound](T x) { return x < bound; });
+  }
+
+  /// A CSR section: `rows` + 1 offsets rising from 0, then that many
+  /// targets, each below `bound`.
+  template <typename Offset, typename Target>
+  bool GetCsr(std::uint64_t rows, std::uint64_t bound,
+              std::vector<Offset>* offsets, std::vector<Target>* targets) {
+    // rows + 1 == 0 only on a wrapped count: reject it before front().
+    return GetVector(rows + 1, offsets) && !offsets->empty() &&
+           offsets->front() == 0 &&
+           std::is_sorted(offsets->begin(), offsets->end()) &&
+           GetBounded(offsets->back(), bound, targets);
+  }
+
   bool GetCounters(TraversalCounters* c) {
     return GetU64(&c->vertices) && GetU64(&c->edges) &&
            GetU64(&c->sample_vertices) && GetU64(&c->sample_edges);
   }
 
-  bool exhausted() const { return pos_ == bytes_.size(); }
+  /// The per-world counter deltas that end every payload, then the end
+  /// of the file.
+  Status GetCounterTail(std::uint64_t capacity,
+                        std::vector<TraversalCounters>* deltas) {
+    // Bound the count by the bytes left BEFORE allocating for it.
+    if (capacity > (bytes_.size() - pos_) / (4 * sizeof(std::uint64_t))) {
+      return Status::IoError("arena payload truncated in counter deltas");
+    }
+    deltas->resize(capacity);
+    for (TraversalCounters& delta : *deltas) {
+      if (!GetCounters(&delta)) {
+        return Status::IoError("arena payload truncated in counter deltas");
+      }
+    }
+    if (pos_ != bytes_.size()) {
+      return Status::IoError("arena payload has trailing bytes");
+    }
+    return Status::OK();
+  }
 
  private:
   bool GetRaw(void* out, std::size_t size) {
@@ -252,11 +295,6 @@ bool ParseU64(const std::string& text, std::uint64_t* out) {
 /// a byte-identical prefix.
 Status MatchManifest(const ArenaManifest& found,
                      const ArenaManifest& expected) {
-  if (found.version != kArenaFormatVersion) {
-    return Status::FailedPrecondition(
-        "arena format version " + std::to_string(found.version) +
-        " != " + std::to_string(kArenaFormatVersion));
-  }
   if (found.kind != expected.kind || found.workload != expected.workload ||
       found.seed != expected.seed || found.stream != expected.stream) {
     return Status::FailedPrecondition(
@@ -280,18 +318,50 @@ Status MatchManifest(const ArenaManifest& found,
   return Status::OK();
 }
 
-/// Reads payload.bin, verifies size + checksum against the manifest, and
-/// checks the binary header (magic / version / kind / shape).
-StatusOr<std::shared_ptr<PayloadReader>> OpenPayload(
-    const std::string& dir, const ArenaManifest& manifest,
-    std::uint32_t expected_kind) {
+/// An entry's manifest and its verified, header-checked payload.
+struct OpenedArena {
+  ArenaManifest manifest;
+  PayloadReader reader;
+};
+
+/// The shared front half of every read: the manifest (current version,
+/// known kind, and — for a load — matching `expected`), then payload.bin
+/// verified against it (size, checksum, and the binary header's magic /
+/// version / kind / shape).
+StatusOr<OpenedArena> OpenArena(const std::string& dir,
+                                const ArenaManifest* expected) {
+  StatusOr<ArenaManifest> read = ReadArenaManifest(dir);
+  if (!read.ok()) return read.status();
+  const ArenaManifest& manifest = read.value();
+  if (manifest.version != kArenaFormatVersion) {
+    return Status::FailedPrecondition(
+        "arena format version " + std::to_string(manifest.version) +
+        " != " + std::to_string(kArenaFormatVersion));
+  }
+  std::optional<ArenaKind> expected_kind;
+  for (ArenaKind kind : {ArenaKind::kRr, ArenaKind::kSnapshot}) {
+    if (manifest.kind == ArenaKindName(kind)) expected_kind = kind;
+  }
+  if (!expected_kind.has_value()) {
+    return Status::FailedPrecondition("unknown arena kind '" +
+                                      manifest.kind + "'");
+  }
+  if (expected != nullptr) {
+    SOLDIST_RETURN_IF_ERROR(MatchManifest(manifest, *expected));
+  }
   const std::string path = dir + kPayloadFile;
   FaultInjector* inject = fault_injector();
   if (inject != nullptr) {
     SOLDIST_RETURN_IF_ERROR(inject->Check(FaultOp::kOpen, path));
   }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::NotFound("no arena payload at '" + path + "'");
+  // The manifest commits AFTER the payload, so a committed manifest
+  // naming a missing payload is damage, never a save in flight — and not
+  // the kNotFound that means "no entry here".
+  if (!in) {
+    return Status::FailedPrecondition("manifest names a missing payload '" +
+                                      path + "'");
+  }
   const std::streamoff size = in.tellg();
   if (static_cast<std::uint64_t>(size) != manifest.payload_bytes) {
     return Status::IoError(
@@ -313,13 +383,13 @@ StatusOr<std::shared_ptr<PayloadReader>> OpenPayload(
     return Status::IoError("arena payload '" + path +
                            "' fails its checksum (corrupted)");
   }
-  auto reader = std::make_shared<PayloadReader>(std::move(bytes));
+  PayloadReader reader(std::move(bytes));
   std::uint64_t magic = 0;
   std::uint32_t version = 0, kind = 0, num_vertices = 0, reserved = 0;
   std::uint64_t capacity = 0;
-  if (!reader->GetU64(&magic) || !reader->GetU32(&version) ||
-      !reader->GetU32(&kind) || !reader->GetU32(&num_vertices) ||
-      !reader->GetU32(&reserved) || !reader->GetU64(&capacity)) {
+  if (!reader.GetU64(&magic) || !reader.GetU32(&version) ||
+      !reader.GetU32(&kind) || !reader.GetU32(&num_vertices) ||
+      !reader.GetU32(&reserved) || !reader.GetU64(&capacity)) {
     return Status::IoError("arena payload '" + path + "' header truncated");
   }
   if (magic != kPayloadMagic) {
@@ -333,43 +403,38 @@ StatusOr<std::shared_ptr<PayloadReader>> OpenPayload(
                                       " != " +
                                       std::to_string(kArenaFormatVersion));
   }
-  if (kind != expected_kind || num_vertices != manifest.num_vertices ||
+  if (kind != static_cast<std::uint32_t>(*expected_kind) ||
+      num_vertices != manifest.num_vertices ||
       capacity != manifest.capacity) {
     return Status::IoError("arena payload '" + path +
                            "' header disagrees with its manifest");
   }
-  return reader;
+  return OpenedArena{manifest, std::move(reader)};
 }
 
-void WriteHeader(PayloadWriter* writer, std::uint32_t kind,
-                 std::uint32_t num_vertices, std::uint64_t capacity) {
+/// The shared front half of every save: the manifest's shape fields and
+/// the payload header, both taken from the arena itself.
+void BeginPayload(const WorldArena& arena, ArenaManifest* manifest,
+                  PayloadWriter* writer) {
+  manifest->kind = ArenaKindName(arena.kind());
+  manifest->capacity = arena.capacity();
+  manifest->num_vertices = arena.num_vertices();
   writer->PutU64(kPayloadMagic);
   writer->PutU32(kArenaFormatVersion);
-  writer->PutU32(kind);
-  writer->PutU32(num_vertices);
+  writer->PutU32(static_cast<std::uint32_t>(arena.kind()));
+  writer->PutU32(arena.num_vertices());
   writer->PutU32(0);  // reserved
-  writer->PutU64(capacity);
+  writer->PutU64(arena.capacity());
 }
 
-std::vector<TraversalCounters> PrefixDeltas(const WorldArena& arena) {
-  std::vector<TraversalCounters> deltas;
-  deltas.reserve(arena.capacity());
-  TraversalCounters prev;  // zero
+/// The shared back half of every save: the per-world counter deltas,
+/// then the payload and manifest commits.
+Status FinishSave(const WorldArena& arena, PayloadWriter* writer,
+                  ArenaManifest* manifest, const std::string& dir) {
   for (std::uint64_t i = 1; i <= arena.capacity(); ++i) {
-    const TraversalCounters cum = arena.PrefixCounters(i);
-    TraversalCounters delta;
-    delta.vertices = cum.vertices - prev.vertices;
-    delta.edges = cum.edges - prev.edges;
-    delta.sample_vertices = cum.sample_vertices - prev.sample_vertices;
-    delta.sample_edges = cum.sample_edges - prev.sample_edges;
-    deltas.push_back(delta);
-    prev = cum;
+    writer->PutCounterDelta(arena.PrefixCounters(i),
+                            arena.PrefixCounters(i - 1));
   }
-  return deltas;
-}
-
-Status FinishSave(PayloadWriter* writer, ArenaManifest* manifest,
-                  const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -383,6 +448,13 @@ Status FinishSave(PayloadWriter* writer, ArenaManifest* manifest,
   // Manifest last: a crash mid-save leaves a manifest-less directory
   // that reads as kNotFound, not as a corrupt hit.
   return WriteManifest(*manifest, dir);
+}
+
+/// OpenArena for a load of `kind`: `expected` with its kind filled in.
+StatusOr<OpenedArena> OpenForLoad(const std::string& dir, ArenaKind kind,
+                                  ArenaManifest expected) {
+  expected.kind = ArenaKindName(kind);
+  return OpenArena(dir, &expected);
 }
 
 }  // namespace
@@ -440,31 +512,11 @@ StatusOr<ArenaManifest> ReadArenaManifest(const std::string& dir) {
 }
 
 Status VerifyArena(const std::string& dir) {
-  StatusOr<ArenaManifest> manifest = ReadArenaManifest(dir);
-  if (!manifest.ok()) return manifest.status();
-  if (manifest.value().version != kArenaFormatVersion) {
-    return Status::FailedPrecondition(
-        "arena format version " + std::to_string(manifest.value().version) +
-        " != " + std::to_string(kArenaFormatVersion));
-  }
-  std::uint32_t expected_kind = 0;
-  if (manifest.value().kind == "rr") {
-    expected_kind = kKindRr;
-  } else if (manifest.value().kind == "snapshot") {
-    expected_kind = kKindSnapshot;
-  } else {
-    return Status::FailedPrecondition("unknown arena kind '" +
-                                      manifest.value().kind + "'");
-  }
-  // OpenPayload verifies size, whole-file checksum, and the binary
-  // header (magic / version / kind / shape vs manifest). Deeper
-  // structural damage inside the sections is impossible past the
-  // checksum unless the save itself was buggy — LoadArena still
-  // validates structure at load time.
-  StatusOr<std::shared_ptr<PayloadReader>> opened =
-      OpenPayload(dir, manifest.value(), expected_kind);
-  if (!opened.ok()) return opened.status();
-  return Status::OK();
+  // OpenArena verifies size, whole-file checksum, and the binary header
+  // (magic / version / kind / shape vs manifest). Deeper structural
+  // damage inside the sections is impossible past the checksum unless
+  // the save itself was buggy — the loaders still validate structure.
+  return OpenArena(dir, nullptr).status();
 }
 
 Status SaveRrArena(const RrArena& arena, ArenaManifest manifest,
@@ -475,77 +527,39 @@ Status SaveRrArena(const RrArena& arena, ArenaManifest manifest,
   }
   const store::RrFlatPayload* payload = arena.storage().flat_payload();
   SOLDIST_CHECK(payload != nullptr);
-  manifest.kind = "rr";
-  manifest.capacity = arena.capacity();
-  manifest.num_vertices = arena.num_vertices();
   PayloadWriter writer;
-  WriteHeader(&writer, kKindRr, arena.num_vertices(), arena.capacity());
+  BeginPayload(arena, &manifest, &writer);
   writer.PutVector(payload->set_offsets);
   writer.PutVector(payload->flat);
   // The inverted index is NOT persisted — the load rebuilds it with the
   // same counting sort, byte-identically, at half the file size.
-  for (const TraversalCounters& delta : PrefixDeltas(arena)) {
-    writer.PutCounters(delta);
-  }
-  return FinishSave(&writer, &manifest, dir);
+  return FinishSave(arena, &writer, &manifest, dir);
 }
 
 StatusOr<std::shared_ptr<RrArena>> LoadRrArena(
     const std::string& dir, const ArenaManifest& expected) {
-  StatusOr<ArenaManifest> manifest = ReadArenaManifest(dir);
-  if (!manifest.ok()) return manifest.status();
-  ArenaManifest want = expected;
-  want.kind = "rr";
-  SOLDIST_RETURN_IF_ERROR(MatchManifest(manifest.value(), want));
-  StatusOr<std::shared_ptr<PayloadReader>> opened =
-      OpenPayload(dir, manifest.value(), kKindRr);
+  StatusOr<OpenedArena> opened = OpenForLoad(dir, ArenaKind::kRr, expected);
   if (!opened.ok()) return opened.status();
-  PayloadReader& reader = *opened.value();
-  const std::uint64_t capacity = manifest.value().capacity;
+  PayloadReader& reader = opened.value().reader;
+  const std::uint64_t capacity = opened.value().manifest.capacity;
+  const auto num_vertices =
+      static_cast<VertexId>(opened.value().manifest.num_vertices);
   std::vector<std::uint64_t> set_offsets;
   std::vector<VertexId> flat;
-  if (!reader.GetVector(capacity + 1, &set_offsets)) {
-    return Status::IoError("arena payload truncated in set offsets");
+  if (!reader.GetCsr(capacity, num_vertices, &set_offsets, &flat)) {
+    return Status::IoError(
+        "arena payload truncated or corrupt in the RR set array");
   }
-  if (set_offsets.front() != 0) {
-    return Status::IoError("arena payload has corrupt set offsets");
-  }
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    if (set_offsets[i] > set_offsets[i + 1]) {
-      return Status::IoError("arena payload has non-monotone set offsets");
-    }
-  }
-  if (!reader.GetVector(set_offsets.back(), &flat)) {
-    return Status::IoError("arena payload truncated in the flat set array");
-  }
-  const auto num_vertices =
-      static_cast<VertexId>(manifest.value().num_vertices);
-  for (VertexId v : flat) {
-    if (v >= num_vertices) {
-      return Status::IoError("arena payload has out-of-range vertex ids");
-    }
-  }
-  std::vector<TraversalCounters> per_set(capacity);
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    if (!reader.GetCounters(&per_set[i])) {
-      return Status::IoError("arena payload truncated in counter deltas");
-    }
-  }
-  if (!reader.exhausted()) {
-    return Status::IoError("arena payload has trailing bytes");
-  }
+  std::vector<TraversalCounters> per_set;
+  SOLDIST_RETURN_IF_ERROR(reader.GetCounterTail(capacity, &per_set));
   return std::make_shared<RrArena>(RrArena::FromParts(
       num_vertices, std::move(flat), std::move(set_offsets), per_set));
 }
 
 Status SaveSnapshotArena(const SnapshotArena& arena, ArenaManifest manifest,
                          const std::string& dir) {
-  manifest.kind = "snapshot";
-  manifest.capacity = arena.capacity();
-  manifest.num_vertices = arena.num_vertices();
   PayloadWriter writer;
-  WriteHeader(&writer, kKindSnapshot, arena.num_vertices(),
-              arena.capacity());
+  BeginPayload(arena, &manifest, &writer);
   for (std::uint64_t i = 0; i < arena.capacity(); ++i) {
     const CondensedSnapshot& snap = arena.World(i);
     const SnapshotWarmth& warmth = arena.Warmth(i);
@@ -561,74 +575,41 @@ Status SaveSnapshotArena(const SnapshotArena& arena, ArenaManifest manifest,
     writer.PutVector(warmth.bound);
     writer.PutVector(warmth.is_exact);
   }
-  for (const TraversalCounters& delta : PrefixDeltas(arena)) {
-    writer.PutCounters(delta);
-  }
-  return FinishSave(&writer, &manifest, dir);
+  return FinishSave(arena, &writer, &manifest, dir);
 }
 
 StatusOr<std::shared_ptr<SnapshotArena>> LoadSnapshotArena(
     const std::string& dir, const ArenaManifest& expected) {
-  StatusOr<ArenaManifest> manifest = ReadArenaManifest(dir);
-  if (!manifest.ok()) return manifest.status();
-  ArenaManifest want = expected;
-  want.kind = "snapshot";
-  SOLDIST_RETURN_IF_ERROR(MatchManifest(manifest.value(), want));
-  StatusOr<std::shared_ptr<PayloadReader>> opened =
-      OpenPayload(dir, manifest.value(), kKindSnapshot);
+  StatusOr<OpenedArena> opened =
+      OpenForLoad(dir, ArenaKind::kSnapshot, expected);
   if (!opened.ok()) return opened.status();
-  PayloadReader& reader = *opened.value();
-  const std::uint64_t capacity = manifest.value().capacity;
+  PayloadReader& reader = opened.value().reader;
+  const std::uint64_t capacity = opened.value().manifest.capacity;
   const auto num_vertices =
-      static_cast<VertexId>(manifest.value().num_vertices);
+      static_cast<VertexId>(opened.value().manifest.num_vertices);
   std::vector<CondensedSnapshot> snaps(capacity);
   std::vector<SnapshotWarmth> warmth(capacity);
-  auto read_dag = [&](CondensationDag* dag, std::uint32_t num_components) {
-    if (!reader.GetVector(static_cast<std::uint64_t>(num_components) + 1,
-                          &dag->offsets)) {
-      return false;
-    }
-    if (dag->offsets.front() != 0) return false;
-    for (std::uint32_t c = 0; c < num_components; ++c) {
-      if (dag->offsets[c] > dag->offsets[c + 1]) return false;
-    }
-    if (!reader.GetVector(dag->offsets.back(), &dag->targets)) return false;
-    for (std::uint32_t t : dag->targets) {
-      if (t >= num_components) return false;
-    }
-    return true;
-  };
   for (std::uint64_t i = 0; i < capacity; ++i) {
     std::uint32_t num_components = 0;
     CondensedSnapshot& snap = snaps[i];
     const bool ok =
         reader.GetU32(&num_components) && num_components >= 1 &&
         num_components <= num_vertices &&
-        reader.GetVector(num_vertices, &snap.comp_of) &&
+        reader.GetBounded(num_vertices, num_components, &snap.comp_of) &&
         reader.GetVector(num_components, &snap.comp_size) &&
-        read_dag(&snap.dag, num_components) &&
-        read_dag(&snap.rev, num_components) &&
+        reader.GetCsr(num_components, num_components, &snap.dag.offsets,
+                      &snap.dag.targets) &&
+        reader.GetCsr(num_components, num_components, &snap.rev.offsets,
+                      &snap.rev.targets) &&
         reader.GetVector(num_components, &warmth[i].bound) &&
         reader.GetVector(num_components, &warmth[i].is_exact);
     if (!ok) {
       return Status::IoError("arena payload truncated or corrupt in world " +
                              std::to_string(i));
     }
-    for (std::uint32_t c : snap.comp_of) {
-      if (c >= num_components) {
-        return Status::IoError("arena payload has out-of-range components");
-      }
-    }
   }
-  std::vector<TraversalCounters> per_snapshot(capacity);
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    if (!reader.GetCounters(&per_snapshot[i])) {
-      return Status::IoError("arena payload truncated in counter deltas");
-    }
-  }
-  if (!reader.exhausted()) {
-    return Status::IoError("arena payload has trailing bytes");
-  }
+  std::vector<TraversalCounters> per_snapshot;
+  SOLDIST_RETURN_IF_ERROR(reader.GetCounterTail(capacity, &per_snapshot));
   return std::make_shared<SnapshotArena>(SnapshotArena::Restore(
       num_vertices, std::move(snaps), std::move(warmth), per_snapshot));
 }

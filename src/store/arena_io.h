@@ -66,7 +66,7 @@ inline constexpr std::uint32_t kArenaFormatVersion = 1;
 /// saved capacity covers the requested one.
 struct ArenaManifest {
   std::uint32_t version = kArenaFormatVersion;
-  std::string kind;      // "rr" | "snapshot"
+  std::string kind;      // ArenaKindName: "rr" | "snapshot"
   std::string workload;  // workload label (network/prob/model key)
   std::uint64_t seed = 0;
   std::string stream;    // "seq" | "engine/<chunk_size>"
@@ -84,8 +84,10 @@ StatusOr<ArenaManifest> ReadArenaManifest(const std::string& dir);
 /// known, payload present with the manifest's exact size, whole-file
 /// FNV-1a checksum, and a consistent binary header. kNotFound when the
 /// directory holds no manifest (debris, not corruption); any other
-/// non-OK Status names what is broken. Used by the startup recovery
-/// sweep, the background scrubber, and soldist_fsck.
+/// non-OK Status names what is broken — a manifest naming a missing
+/// payload is kFailedPrecondition. Used by the recovery plan, the
+/// background scrubber, and soldist_fsck. Shares its manifest → match →
+/// payload prologue with the loaders.
 Status VerifyArena(const std::string& dir);
 
 /// Persists a FLAT RR arena (kFailedPrecondition otherwise — save before

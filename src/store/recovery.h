@@ -3,26 +3,35 @@
 // serving layer can trust blindly.
 //
 // The arena_io tmp + atomic-rename protocol makes classification
-// unambiguous:
+// unambiguous (state = the name soldist_fsck prints):
 //
-//   *.tmp file                      uncommitted write — always debris,
-//                                   deleted (the rename never happened).
-//   payload.bin without manifest    crash between the payload commit and
-//                                   the manifest commit — orphan, deleted
-//                                   (the save as a whole never committed).
-//   manifest + payload failing      bit rot / tampering after a clean
-//   VerifyArena                     commit — QUARANTINED (moved into
-//                                   <root>/quarantine/) so the bytes
+//   *.tmp file                      tmp-debris: uncommitted write, deleted
+//                                   (the rename never happened).
+//   entry holding only *.tmp        tmp-debris: the directory is removed
+//                                   once its tmp files are gone.
+//   payload.bin without manifest    orphan-payload: crash between the
+//                                   payload commit and the manifest
+//                                   commit, deleted (the save as a whole
+//                                   never committed).
+//   manifest without payload.bin    corrupt: the protocol commits the
+//                                   payload first, so this is damage —
+//                                   QUARANTINED like any corrupt entry.
+//   manifest + payload failing      corrupt: bit rot / tampering after a
+//   VerifyArena                     clean commit — QUARANTINED (moved
+//                                   into <root>/quarantine/) so the bytes
 //                                   survive for forensics but can never
 //                                   be served.
-//   manifest + payload verifying    healthy — untouched.
+//   manifest + payload verifying    healthy: untouched.
+//   neither manifest nor payload    foreign: not ours, untouched.
 //
-// The sweep is idempotent (a second pass over a recovered tree is a
-// no-op) and conservative: nothing that passes verification is ever
+// The sweep is split in two: PlanRecovery classifies read-only and
+// ApplyRecovery carries the plan out, so `soldist_fsck verify` prints
+// exactly what `repair` (and the service's startup sweep) will do. The
+// sweep is idempotent (a second pass over a recovered tree plans no
+// repair) and conservative: nothing that passes verification is ever
 // modified. QueryService runs it once at startup when --arena-dir is
-// set; `soldist_fsck repair` runs the same code standalone; the
-// background scrubber reuses QuarantineEntry for entries that rot while
-// the service is up.
+// set; the background scrubber walks the same ListArenaEntries and
+// reuses QuarantineEntry for entries that rot while the service is up.
 
 #ifndef SOLDIST_STORE_RECOVERY_H_
 #define SOLDIST_STORE_RECOVERY_H_
@@ -61,6 +70,52 @@ struct RecoveryReport {
   std::string ToJson() const;
 };
 
+/// What recovery does to one path under an arena root.
+enum class RecoveryAction {
+  kKeep,          ///< healthy entry — untouched
+  kSkip,          ///< not an arena entry — untouched
+  kDeleteTmp,     ///< *.tmp file — deleted
+  kRemoveDir,     ///< entry dir left empty once its tmp files go — removed
+  kDeleteOrphan,  ///< payload without manifest — entry dir deleted
+  kQuarantine,    ///< corrupt entry — moved into <root>/quarantine/
+  kError,         ///< a directory could not be listed — reported only
+};
+
+/// One classified path of a RecoveryPlan.
+struct RecoveryStep {
+  RecoveryAction action = RecoveryAction::kKeep;
+  std::string path;
+  std::string reason;  ///< why; the VerifyArena status for kQuarantine
+  std::string target;  ///< kQuarantine only: where the entry will move
+
+  /// The state soldist_fsck prints: "healthy", "foreign", "tmp-debris",
+  /// "orphan-payload", "corrupt" or "error".
+  const char* State() const;
+  /// True when the tree is not clean at this path (fsck verify exit 1).
+  bool NeedsRepair() const {
+    return action != RecoveryAction::kKeep && action != RecoveryAction::kSkip;
+  }
+  /// The RecoveryReport::actions line ApplyRecovery writes when the step
+  /// succeeds ("" for kKeep, which writes none).
+  std::string ActionLine() const;
+};
+
+/// A read-only classification of every immediate child of an arena
+/// root, in sorted path order (an entry's own tmp files precede it).
+struct RecoveryPlan {
+  std::string root;
+  std::vector<RecoveryStep> steps;
+
+  /// The action lines of every step but kKeep: what ApplyRecovery
+  /// reports when every filesystem operation succeeds.
+  std::vector<std::string> Actions() const;
+};
+
+/// Sorted entry directories under an arena root (quarantine excluded) —
+/// the directories PlanRecovery classifies and the scrubber's disk pass
+/// rotates through. Empty when the root is missing or unreadable.
+std::vector<std::string> ListArenaEntries(const std::string& root);
+
 /// Moves `entry_dir` (an immediate subdirectory of `root`) into
 /// `<root>/quarantine/`, creating it on demand and suffixing the target
 /// name (".1", ".2", ...) if a previous quarantine of the same entry
@@ -68,10 +123,18 @@ struct RecoveryReport {
 Status QuarantineEntry(const std::string& root, const std::string& entry_dir,
                        std::string* moved_to);
 
-/// Sweeps one arena root (the --arena-dir): classifies every immediate
-/// child per the table above and repairs in place. Missing root is not
-/// an error (nothing was ever saved — report comes back empty). The
-/// `<root>/quarantine/` subtree is never scanned.
+/// Classifies one arena root per the table above without touching it.
+/// A missing root plans nothing (nothing was ever saved); a root that is
+/// not a directory is kInvalidArgument. `<root>/quarantine/` is never
+/// scanned.
+StatusOr<RecoveryPlan> PlanRecovery(const std::string& root);
+
+/// Carries out a plan. A failed filesystem operation becomes an "error:"
+/// action and a sweep_errors count, never an abort.
+RecoveryReport ApplyRecovery(const RecoveryPlan& plan);
+
+/// ApplyRecovery(PlanRecovery(root)), logging a warning when the tree
+/// needed repair.
 StatusOr<RecoveryReport> RecoverArenaDir(const std::string& root);
 
 }  // namespace store

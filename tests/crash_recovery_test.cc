@@ -323,6 +323,63 @@ TEST(RecoverySweepTest, ClassifiesDebrisOrphansCorruptionAndForeign) {
   EXPECT_TRUE(again.value().Clean());
 }
 
+TEST(RecoverySweepTest, VerifyPlanEqualsRepairLineForLine) {
+  // Every shape the sweep knows, in one tree: the plan fsck verify
+  // prints must be exactly what ApplyRecovery then does.
+  InfluenceGraph ig = KarateUc01();
+  const RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
+  const store::ArenaManifest manifest = Manifest("rr", 7, "seq", 32);
+  const std::string root = FreshDir("plan_equals_apply");
+  ASSERT_TRUE(fs::create_directories(root));
+
+  std::ofstream(root + "/payload.bin.tmp") << "partial";      // root tmp
+  ASSERT_TRUE(fs::create_directories(root + "/b_only_tmp"));  // tmp-only
+  std::ofstream(root + "/b_only_tmp/payload.bin.tmp") << "partial";
+  std::ofstream(root + "/b_only_tmp/manifest.txt.tmp") << "partial";
+  ASSERT_TRUE(fs::create_directories(root + "/c_orphan"));    // orphan
+  std::ofstream(root + "/c_orphan/payload.bin") << "stale";
+  ASSERT_TRUE(store::SaveRrArena(arena, manifest, root + "/d_corrupt").ok());
+  fs::resize_file(root + "/d_corrupt/payload.bin", 8);
+  ASSERT_TRUE(store::SaveRrArena(arena, manifest, root + "/e_nopayload").ok());
+  fs::remove(root + "/e_nopayload/payload.bin");
+  ASSERT_TRUE(store::SaveRrArena(arena, manifest, root + "/f_healthy").ok());
+  ASSERT_TRUE(fs::create_directories(root + "/g_foreign"));
+  std::ofstream(root + "/g_foreign/notes.txt") << "hands off";
+
+  StatusOr<store::RecoveryPlan> plan = store::PlanRecovery(root);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<std::string> states;
+  for (const store::RecoveryStep& step : plan.value().steps) {
+    states.push_back(step.State());
+  }
+  // Sorted path order; an entry's own tmp files precede its verdict.
+  const std::vector<std::string> want_states = {
+      "tmp-debris", "tmp-debris", "tmp-debris", "orphan-payload", "corrupt",
+      "corrupt",    "healthy",    "foreign",    "tmp-debris"};
+  EXPECT_EQ(states, want_states);
+
+  const std::vector<std::string> planned = plan.value().Actions();
+  const store::RecoveryReport report = store::ApplyRecovery(plan.value());
+  EXPECT_EQ(report.actions, planned);
+  EXPECT_EQ(report.sweep_errors, 0u);
+  EXPECT_EQ(report.cleaned_tmp_files, 3u);
+  EXPECT_EQ(report.removed_empty_dirs, 1u);
+  EXPECT_EQ(report.orphaned_payloads, 1u);
+  EXPECT_EQ(report.quarantined_entries, 2u);
+  EXPECT_EQ(report.healthy_entries, 1u);
+  EXPECT_EQ(report.scanned_entries, 6u);
+
+  // What is left needs nothing: the second plan repairs nothing and
+  // applying it reports a clean tree.
+  StatusOr<store::RecoveryPlan> again = store::PlanRecovery(root);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().steps.size(), 2u);  // f_healthy, g_foreign
+  for (const store::RecoveryStep& step : again.value().steps) {
+    EXPECT_FALSE(step.NeedsRepair()) << step.path << " " << step.State();
+  }
+  EXPECT_TRUE(store::ApplyRecovery(again.value()).Clean());
+}
+
 TEST(RecoverySweepTest, MissingRootIsCleanNoop) {
   StatusOr<store::RecoveryReport> swept =
       store::RecoverArenaDir(FreshDir("never_created"));

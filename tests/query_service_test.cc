@@ -26,6 +26,8 @@
 #include "serve/query_service.h"
 #include "sim/max_coverage.h"
 #include "sim/rr_arena.h"
+#include "sim/snapshot_arena.h"
+#include "store/arena_io.h"
 #include "store/fault_injection.h"
 
 namespace soldist {
@@ -486,6 +488,185 @@ TEST(QueryServiceTest, InvalidInputIsStatusNotAbort) {
   serve::QuerySpec zero;
   zero.sample_number = 0;
   EXPECT_FALSE(service.View(KarateUc01(), zero).ok());
+}
+
+
+// ---------------------------------------------------------------------
+// Resilience parity for the snapshot kind: SnapshotView runs the same
+// acquisition pipeline as View, so each degrade / shed / storm / reload
+// path must hold for sampled worlds exactly as it does for RR sets.
+// ---------------------------------------------------------------------
+
+api::WorkloadSpec KarateIwc() {
+  return api::WorkloadSpec::Dataset("Karate").Probability(
+      ProbabilityModel::kIwc);
+}
+
+/// Every (src, dst) reach probability, every expected reach and a few
+/// multi-seed spreads of a snapshot view — compared with EXPECT_EQ, so
+/// two views agree only when they are bit-equal.
+std::vector<double> WorldAnswers(const serve::SnapshotQueryView& view) {
+  std::vector<double> answers;
+  const VertexId n = view.num_vertices();
+  for (VertexId src = 0; src < n; ++src) {
+    answers.push_back(view.ExpectedReach(src));
+    for (VertexId dst = 0; dst < n; dst += 5) {
+      answers.push_back(view.ReachProbability(src, dst));
+    }
+  }
+  const VertexId seeds[] = {0, 5, 33};
+  answers.push_back(view.Spread(seeds));
+  answers.push_back(view.MarginalGain(seeds, 16));
+  return answers;
+}
+
+/// A fresh view over `tau` directly sampled worlds of the default
+/// QuerySpec's stream family — what a served prefix must equal.
+serve::SnapshotQueryView FreshWorldView(api::Session* session,
+                                        std::uint64_t tau) {
+  auto instance = session->ResolveWorkload(KarateIwc());
+  EXPECT_TRUE(instance.ok()) << instance.status().ToString();
+  const serve::QuerySpec spec = SpecAt(tau);
+  auto arena = std::make_shared<const SnapshotArena>(SnapshotArena::Sample(
+      *instance.value().ig, spec.seed, tau,
+      session->SamplingFor(spec.sample_threads, spec.chunk_size)));
+  return serve::SnapshotQueryView(std::move(arena), tau);
+}
+
+TEST(QueryServiceResilienceTest, SnapshotDeadlineMissServesExactPrefix) {
+  api::Session session;
+  serve::QueryService service(&session);
+  ASSERT_TRUE(service.SnapshotView(KarateIwc(), SpecAt(50)).ok());
+
+  // Far more worlds than 1 ms of sampling completes: the build is
+  // cancelled and the view degrades to the completed prefix (or, on an
+  // absurdly fast machine, finishes and answers in full).
+  constexpr std::uint64_t kHugeTau = 100000;
+  serve::QuerySpec spec = SpecAt(kHugeTau);
+  spec.deadline_ms = 1;
+  auto view = service.SnapshotView(KarateIwc(), spec);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const std::uint64_t served = view.value().served_tau();
+  EXPECT_EQ(view.value().requested_tau(), kHugeTau);
+  ASSERT_GE(served, 1u);
+  ASSERT_LE(served, kHugeTau);
+  EXPECT_EQ(view.value().degraded(), served < kHugeTau);
+  if (view.value().degraded()) {
+    const serve::ResilienceStats stats = service.resilience_stats();
+    EXPECT_GE(stats.degraded_answers, 1u);
+    EXPECT_GE(stats.deadline_misses, 1u);
+  }
+  EXPECT_EQ(WorldAnswers(view.value()),
+            WorldAnswers(FreshWorldView(&session, served)));
+}
+
+TEST(QueryServiceResilienceTest, SnapshotOverloadShedDegradesFromResident) {
+  api::SessionOptions options;
+  options.max_inflight_builds = 1;  // one build slot, no queue
+  api::Session session(options);
+  serve::QueryService service(&session);
+  constexpr std::uint64_t kResident = 40;
+  ASSERT_TRUE(service.SnapshotView(KarateIwc(), SpecAt(kResident)).ok());
+  const std::vector<double> resident_answers =
+      WorldAnswers(FreshWorldView(&session, kResident));
+
+  std::atomic<bool> done{false};
+  std::thread background([&] {
+    for (;;) {
+      auto big = service.SnapshotView(KarateIwc(), SpecAt(30000));
+      if (big.ok()) break;
+      EXPECT_EQ(big.status().code(), StatusCode::kUnavailable)
+          << big.status().ToString();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    done.store(true);
+  });
+  // Legal outcomes while the slot is busy: shed with nothing resident
+  // (impossible here — the prefix is resident), degraded to exactly the
+  // resident prefix, or full.
+  std::uint64_t degraded_seen = 0;
+  while (!done.load()) {
+    auto view = service.SnapshotView(KarateIwc(), SpecAt(20000));
+    if (view.ok()) {
+      EXPECT_EQ(view.value().degraded(),
+                view.value().served_tau() < 20000u);
+      if (view.value().served_tau() == kResident) {
+        ++degraded_seen;
+        EXPECT_EQ(WorldAnswers(view.value()), resident_answers);
+      }
+    } else {
+      EXPECT_EQ(view.status().code(), StatusCode::kUnavailable)
+          << view.status().ToString();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  background.join();
+  if (degraded_seen > 0) {
+    EXPECT_GE(service.resilience_stats().degraded_answers, degraded_seen);
+    EXPECT_GE(service.resilience_stats().shed_requests, 1u);
+  }
+  auto settled = service.SnapshotView(KarateIwc(), SpecAt(20000));
+  ASSERT_TRUE(settled.ok()) << settled.status().ToString();
+  EXPECT_FALSE(settled.value().degraded());
+}
+
+TEST(QueryServiceResilienceTest, SnapshotIoErrorStormMatchesFaultFree) {
+  std::vector<double> reference;
+  {
+    api::Session session;
+    serve::QueryService service(&session);
+    auto view = service.SnapshotView(KarateIwc(), SpecAt(kTau));
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    reference = WorldAnswers(view.value());
+  }
+  ScopedFaultInjection faults("error-rate=0.1,seed=7");
+  const std::string dir = FreshDir("snapshot_storm");
+  for (int round = 0; round < 3; ++round) {
+    // The same directory each round: later rounds load what earlier
+    // rounds managed to save, or resample when the storm hit the load.
+    api::SessionOptions options;
+    options.arena_dir = dir;
+    api::Session session(options);
+    serve::QueryService service(&session);
+    auto view = service.SnapshotView(KarateIwc(), SpecAt(kTau));
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_FALSE(view.value().degraded());
+    EXPECT_EQ(WorldAnswers(view.value()), reference) << "round " << round;
+  }
+}
+
+TEST(QueryServiceResilienceTest, SnapshotReloadAcrossServicesIsALoad) {
+  // Persistence parity, not a storm case: an explicit empty spec turns
+  // off any preset so the save and the load are certain to happen.
+  ScopedFaultInjection no_faults("");
+  const std::string dir = FreshDir("snapshot_reload");
+  {
+    api::SessionOptions options;
+    options.arena_dir = dir;
+    api::Session session(options);
+    serve::QueryService service(&session);
+    ASSERT_TRUE(service.SnapshotView(KarateIwc(), SpecAt(128)).ok());
+  }
+  const std::string entry = dir + "/snapshot_Karate_iwc_seed_17_seq";
+  auto manifest = store::ReadArenaManifest(entry);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest.value().kind, "snapshot");
+  EXPECT_EQ(manifest.value().capacity, 128u);
+
+  api::SessionOptions options;
+  options.arena_dir = dir;
+  api::Session session(options);
+  serve::QueryService service(&session);
+  auto view = service.SnapshotView(KarateIwc(), SpecAt(64));
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  // Loaded, not resampled: the arena keeps the saved capacity, and a
+  // resample at 64 would have re-saved a 64-world manifest.
+  EXPECT_EQ(view.value().arena().capacity(), 128u);
+  auto after = store::ReadArenaManifest(entry);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value().capacity, 128u);
+  EXPECT_EQ(WorldAnswers(view.value()),
+            WorldAnswers(FreshWorldView(&session, 64)));
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "sim/sampling_engine.h"
 #include "sim/world_arena.h"
 #include "store/arena_io.h"
+#include "store/recovery.h"
 #include "util/status.h"
 
 namespace soldist {
@@ -222,6 +223,38 @@ TEST(ScrubberTest, IncrementalCursorCoversEveryDiskEntryAcrossCycles) {
   EXPECT_FALSE(fs::exists(root + "/b_entry"));
   EXPECT_TRUE(fs::exists(root + "/a_entry"));
   EXPECT_TRUE(fs::exists(root + "/c_entry"));
+}
+
+
+TEST(ScrubberTest, ManifestWithoutPayloadIsCorruptEverywhere) {
+  // A committed manifest whose payload.bin is gone: the commit protocol
+  // never produces it (the payload commits first), so it is damage, not
+  // a save in flight. VerifyArena, the recovery plan and the scrubber
+  // must all call it corrupt.
+  InfluenceGraph ig = KarateUc01();
+  const RrArena arena = RrArena::SampleIc(ig, 7, 32, SeqSampling());
+  const std::string root = FreshDir("manifest_without_payload");
+  ASSERT_TRUE(fs::create_directories(root));
+  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(32), root + "/entry").ok());
+  fs::remove(root + "/entry/payload.bin");
+
+  const Status verified = store::VerifyArena(root + "/entry");
+  EXPECT_EQ(verified.code(), StatusCode::kFailedPrecondition)
+      << verified.ToString();
+
+  StatusOr<store::RecoveryPlan> plan = store::PlanRecovery(root);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan.value().steps.size(), 1u);
+  EXPECT_EQ(plan.value().steps[0].action, store::RecoveryAction::kQuarantine);
+  EXPECT_STREQ(plan.value().steps[0].State(), "corrupt");
+
+  ArenaCache cache(/*budget_bytes=*/0);
+  Scrubber scrubber(&cache, root, /*interval_ms=*/0);
+  scrubber.ScrubAll();
+  EXPECT_EQ(scrubber.stats().disk_corruptions, 1u);
+  EXPECT_EQ(scrubber.stats().quarantined, 1u);
+  EXPECT_FALSE(fs::exists(root + "/entry"));
+  EXPECT_TRUE(fs::exists(root + "/quarantine/entry/manifest.txt"));
 }
 
 }  // namespace

@@ -280,6 +280,17 @@ void PrintErrorLine(const Status& status) {
   std::fflush(stdout);
 }
 
+/// Tags a record minted from a degraded view (exact answers at the
+/// smaller served τ — serve/resilience.h), so a consumer never mistakes
+/// a τ' < τ estimate for the full-τ one. Every answer is tagged from the
+/// view that produced it.
+template <typename Arena>
+void TagDegraded(const serve::ArenaView<Arena>& view, JsonObject* record) {
+  if (view.degraded()) {
+    record->Bool("degraded", true).UInt("served_tau", view.served_tau());
+  }
+}
+
 /// The serving REPL behind --query: stdin lines in, JSON lines out.
 /// Every answer comes from one immutable QueryView minted by
 /// serve::QueryService — microsecond point queries, no re-solve.
@@ -322,23 +333,11 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
       .UInt("tau", tau)
       .UInt("n", n)
       .UInt("arena_bytes", view.value().arena().MemoryBytes());
-  // A deadline that expired mid-build leaves a DEGRADED view: exact
-  // answers at the smaller served τ (serve/resilience.h). Tag the
+  // A deadline that expired mid-build leaves a DEGRADED view: tag the
   // session so scripted consumers can tell.
-  if (view.value().degraded()) {
-    ready.Bool("degraded", true).UInt("served_tau", view.value().served_tau());
-  }
+  TagDegraded(view.value(), &ready);
   std::printf("%s\n", ready.ToString().c_str());
   std::fflush(stdout);
-
-  // Every answer minted from a degraded view carries the tag, so a
-  // consumer never mistakes a τ' < τ estimate for the full-τ one.
-  auto tag_degraded = [&](JsonObject* record) {
-    if (view.value().degraded()) {
-      record->Bool("degraded", true)
-          .UInt("served_tau", view.value().served_tau());
-    }
-  };
 
   std::vector<VertexId> seeds;
   std::string line;
@@ -360,7 +359,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
       record.Str("type", "spread")
           .UIntArray("seeds", seeds)
           .Real("spread", view.value().Spread(seeds));
-      tag_degraded(&record);
+      TagDegraded(view.value(), &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "gain") {
       // "gain v s1,s2,...": v first, then the (optional) base seed set.
@@ -389,7 +388,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
           .UInt("vertex", vertex[0])
           .UIntArray("seeds", seeds)
           .Real("gain", view.value().MarginalGain(seeds, vertex[0]));
-      tag_degraded(&record);
+      TagDegraded(view.value(), &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "topk") {
       std::int64_t k = 0;
@@ -423,7 +422,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
         record.Bool("completed", false)
             .UInt("served_k", top.seeds.size());
       }
-      tag_degraded(&record);
+      TagDegraded(view.value(), &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "reach") {
       // "reach <src> <dst>": fraction of sampled worlds in which dst is
@@ -452,6 +451,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
           .UInt("src", src[0])
           .UInt("dst", dst[0])
           .Real("probability", world_view.ReachProbability(src[0], dst[0]));
+      TagDegraded(world_view, &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "compsize") {
       // "compsize <v>": expected reachable-set size of v over the
@@ -470,6 +470,7 @@ int RunQueryRepl(ExperimentContext* context, const HarnessParams& params,
       record.Str("type", "compsize")
           .UInt("vertex", vertex[0])
           .Real("expected_reach", world_view.ExpectedReach(vertex[0]));
+      TagDegraded(world_view, &record);
       std::printf("%s\n", record.ToString().c_str());
     } else if (cmd == "stats") {
       serve::ArenaCache::Stats stats = service.cache_stats();

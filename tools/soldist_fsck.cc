@@ -1,34 +1,37 @@
 // soldist_fsck: offline integrity checker / repairer for an --arena-dir
 // tree (store/arena_io.h format, store/recovery.h semantics). Where the
 // serving layer sweeps at startup and scrubs in the background, fsck is
-// the operator's standalone handle on the same machinery:
+// the operator's standalone handle on the same machinery — one
+// store::PlanRecovery behind every command, so what `verify` reports is
+// exactly what `repair` does:
 //
-//   soldist_fsck verify <dir>   read-only: classify every entry (healthy
-//                               / corrupt / orphan payload / tmp debris)
-//                               and print one line per finding. Exit 0
-//                               when the tree is clean, 1 when anything
-//                               needs attention — nothing is modified.
-//   soldist_fsck repair <dir>   run the recovery sweep: delete *.tmp
-//                               debris and orphan payloads, quarantine
-//                               corrupt entries into <dir>/quarantine/.
-//                               Prints the RecoveryReport; exit 0 when
-//                               the sweep finished (clean or repaired),
-//                               1 when filesystem errors stopped it from
+//   soldist_fsck verify <dir>   read-only: print the recovery plan, one
+//                               line per classified path (healthy /
+//                               corrupt / orphan-payload / tmp-debris /
+//                               foreign) with its reason. Exit 0 when
+//                               the plan repairs nothing, 1 otherwise —
+//                               nothing is modified.
+//   soldist_fsck repair <dir>   apply that plan (store::ApplyRecovery):
+//                               delete *.tmp debris and orphan payloads,
+//                               quarantine corrupt entries into
+//                               <dir>/quarantine/. Prints the
+//                               RecoveryReport; exit 0 when the sweep
+//                               finished (clean or repaired), 1 when
+//                               filesystem errors stopped it from
 //                               finishing. A repaired tree reloads clean.
-//   soldist_fsck ls <dir>       read-only inventory: each entry's
-//                               manifest identity (kind, workload, seed,
-//                               stream, capacity) plus its verify state.
+//   soldist_fsck ls <dir>       read-only inventory: each planned path's
+//                               state plus, where a manifest reads, its
+//                               identity (kind, workload, seed, stream,
+//                               capacity).
 //
 // --json switches every output line to a JSON object (one per entry,
 // plus a final summary line), mirroring the REPL's machine-readable
 // discipline. Usage errors exit 2.
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "store/arena_io.h"
 #include "store/recovery.h"
@@ -54,123 +57,61 @@ int Usage() {
   return kExitUsage;
 }
 
-/// One classified child of the arena root.
-struct Finding {
-  std::string path;
-  std::string state;   // "healthy" | "corrupt" | "orphan-payload" |
-                       // "tmp-debris" | "foreign"
-  std::string detail;  // the Status message for corrupt entries
-  bool bad = false;    // needs attention (verify exits 1)
-};
-
-/// Read-only classification of every immediate child, in sorted order —
-/// the same shapes RecoverArenaDir acts on, without acting.
-std::vector<Finding> ClassifyTree(const std::string& root) {
-  std::vector<Finding> findings;
-  std::error_code ec;
-  std::vector<fs::path> children;
-  for (const fs::directory_entry& entry : fs::directory_iterator(root, ec)) {
-    children.push_back(entry.path());
-  }
-  std::sort(children.begin(), children.end());
-  for (const fs::path& child : children) {
-    const std::string name = child.filename().string();
-    std::error_code type_ec;
-    if (!fs::is_directory(child, type_ec)) {
-      if (name.size() > 4 && name.ends_with(".tmp")) {
-        findings.push_back({child.string(), "tmp-debris",
-                            "uncommitted write left by a crashed save",
-                            true});
-      }
-      // Other stray files are not ours to judge.
-      continue;
-    }
-    if (name == "quarantine") continue;
-    // A directory entry: tmp debris inside it is reported separately so
-    // `verify` surfaces every shape `repair` would touch.
-    std::error_code inner_ec;
-    for (const fs::directory_entry& inner :
-         fs::directory_iterator(child, inner_ec)) {
-      const std::string inner_name = inner.path().filename().string();
-      if (inner_name.size() > 4 && inner_name.ends_with(".tmp")) {
-        findings.push_back({inner.path().string(), "tmp-debris",
-                            "uncommitted write left by a crashed save",
-                            true});
-      }
-    }
-    const Status verified = store::VerifyArena(child.string());
-    if (verified.ok()) {
-      findings.push_back({child.string(), "healthy", "", false});
-      continue;
-    }
-    if (verified.code() == StatusCode::kNotFound) {
-      // No manifest: payload present = crash between the two commits;
-      // neither file = not an arena entry at all.
-      std::error_code payload_ec;
-      if (fs::exists(child / "payload.bin", payload_ec)) {
-        findings.push_back({child.string(), "orphan-payload",
-                            "payload committed but the manifest never was",
-                            true});
-      } else {
-        findings.push_back(
-            {child.string(), "foreign", "no manifest and no payload", false});
-      }
-      continue;
-    }
-    findings.push_back(
-        {child.string(), "corrupt", verified.ToString(), true});
-  }
-  return findings;
-}
-
-void PrintFinding(const Finding& finding, bool json) {
-  if (json) {
+/// verify and ls: one line per plan step, then a summary. ls adds each
+/// manifest's identity where one reads and, being an inventory, always
+/// exits 0; verify exits 1 when the plan repairs anything.
+int PrintPlan(const store::RecoveryPlan& plan, bool json, bool inventory) {
+  std::uint64_t bad = 0;
+  for (const store::RecoveryStep& step : plan.steps) {
+    bad += step.NeedsRepair() ? 1 : 0;
     JsonObject record;
     record.Str("type", "entry")
-        .Str("path", finding.path)
-        .Str("state", finding.state)
-        .Bool("bad", finding.bad);
-    if (!finding.detail.empty()) record.Str("detail", finding.detail);
-    std::printf("%s\n", record.ToString().c_str());
-    return;
-  }
-  if (finding.detail.empty()) {
-    std::printf("%-14s %s\n", finding.state.c_str(), finding.path.c_str());
-  } else {
-    std::printf("%-14s %s: %s\n", finding.state.c_str(),
-                finding.path.c_str(), finding.detail.c_str());
-  }
-}
-
-int RunVerify(const std::string& root, bool json) {
-  const std::vector<Finding> findings = ClassifyTree(root);
-  std::uint64_t bad = 0;
-  for (const Finding& finding : findings) {
-    PrintFinding(finding, json);
-    bad += finding.bad ? 1 : 0;
+        .Str("path", step.path)
+        .Str("state", step.State())
+        .Bool("bad", step.NeedsRepair());
+    if (!step.reason.empty()) record.Str("detail", step.reason);
+    std::string detail = step.reason;
+    StatusOr<store::ArenaManifest> manifest =
+        inventory ? store::ReadArenaManifest(step.path)
+                  : Status::NotFound("identity not requested");
+    if (manifest.ok()) {
+      const store::ArenaManifest& m = manifest.value();
+      record.Str("kind", m.kind)
+          .Str("workload", m.workload)
+          .UInt("seed", m.seed)
+          .Str("stream", m.stream)
+          .UInt("capacity", m.capacity)
+          .UInt("num_vertices", m.num_vertices)
+          .UInt("payload_bytes", m.payload_bytes);
+      detail = "kind=" + m.kind + " workload=" + m.workload +
+               " seed=" + std::to_string(m.seed) + " stream=" + m.stream +
+               " capacity=" + std::to_string(m.capacity);
+    }
+    if (json) {
+      std::printf("%s\n", record.ToString().c_str());
+    } else if (detail.empty()) {
+      std::printf("%-14s %s\n", step.State(), step.path.c_str());
+    } else {
+      std::printf("%-14s %s: %s\n", step.State(), step.path.c_str(),
+                  detail.c_str());
+    }
   }
   if (json) {
     JsonObject summary;
     summary.Str("type", "summary")
-        .UInt("entries", findings.size())
+        .UInt("entries", plan.steps.size())
         .UInt("bad", bad)
         .Bool("clean", bad == 0);
     std::printf("%s\n", summary.ToString().c_str());
   } else {
-    std::printf("%zu entries, %llu bad\n", findings.size(),
+    std::printf("%zu entries, %llu bad\n", plan.steps.size(),
                 static_cast<unsigned long long>(bad));
   }
-  return bad == 0 ? kExitClean : kExitBad;
+  return bad == 0 || inventory ? kExitClean : kExitBad;
 }
 
-int RunRepair(const std::string& root, bool json) {
-  StatusOr<store::RecoveryReport> swept = store::RecoverArenaDir(root);
-  if (!swept.ok()) {
-    std::fprintf(stderr, "repair failed: %s\n",
-                 swept.status().ToString().c_str());
-    return kExitBad;
-  }
-  const store::RecoveryReport& report = swept.value();
+int RunRepair(const store::RecoveryPlan& plan, bool json) {
+  const store::RecoveryReport report = store::ApplyRecovery(plan);
   if (json) {
     std::printf("%s\n", report.ToJson().c_str());
   } else {
@@ -190,44 +131,6 @@ int RunRepair(const std::string& root, bool json) {
   // Debris removed and corruption quarantined IS a successful repair;
   // only filesystem errors that kept the sweep from finishing fail it.
   return report.sweep_errors == 0 ? kExitClean : kExitBad;
-}
-
-int RunLs(const std::string& root, bool json) {
-  const std::vector<Finding> findings = ClassifyTree(root);
-  for (const Finding& finding : findings) {
-    StatusOr<store::ArenaManifest> manifest =
-        store::ReadArenaManifest(finding.path);
-    if (json) {
-      JsonObject record;
-      record.Str("type", "entry")
-          .Str("path", finding.path)
-          .Str("state", finding.state);
-      if (manifest.ok()) {
-        const store::ArenaManifest& m = manifest.value();
-        record.Str("kind", m.kind)
-            .Str("workload", m.workload)
-            .UInt("seed", m.seed)
-            .Str("stream", m.stream)
-            .UInt("capacity", m.capacity)
-            .UInt("num_vertices", m.num_vertices)
-            .UInt("payload_bytes", m.payload_bytes);
-      }
-      std::printf("%s\n", record.ToString().c_str());
-      continue;
-    }
-    if (manifest.ok()) {
-      const store::ArenaManifest& m = manifest.value();
-      std::printf("%-14s %s  kind=%s workload=%s seed=%llu stream=%s "
-                  "capacity=%llu\n",
-                  finding.state.c_str(), finding.path.c_str(),
-                  m.kind.c_str(), m.workload.c_str(),
-                  static_cast<unsigned long long>(m.seed), m.stream.c_str(),
-                  static_cast<unsigned long long>(m.capacity));
-    } else {
-      PrintFinding(finding, json);
-    }
-  }
-  return kExitClean;
 }
 
 int Run(int argc, const char* const* argv) {
@@ -251,10 +154,17 @@ int Run(int argc, const char* const* argv) {
                  root.c_str());
     return kExitBad;
   }
-  if (command == "verify") return RunVerify(root, json);
-  if (command == "repair") return RunRepair(root, json);
-  if (command == "ls") return RunLs(root, json);
-  return Usage();
+  if (command != "verify" && command != "repair" && command != "ls") {
+    return Usage();
+  }
+  StatusOr<store::RecoveryPlan> plan = store::PlanRecovery(root);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "soldist_fsck: %s\n",
+                 plan.status().ToString().c_str());
+    return kExitBad;
+  }
+  if (command == "repair") return RunRepair(plan.value(), json);
+  return PrintPlan(plan.value(), json, /*inventory=*/command == "ls");
 }
 
 }  // namespace
