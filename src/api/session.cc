@@ -78,6 +78,12 @@ Status Session::EnsureNetworkLocked(const WorkloadSpec& workload) {
   } else {
     edges = *workload.edges;
   }
+  // Every sampler draws a uniform vertex or marks one; an empty graph has
+  // none to draw.
+  if (edges.num_vertices == 0) {
+    return Status::InvalidArgument("network '" + workload.network +
+                                   "' has no vertices");
+  }
   registry_.RegisterGraph(workload.network,
                           GraphBuilder::FromEdgeList(edges));
   registered_networks_.insert(workload.network);

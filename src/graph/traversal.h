@@ -40,6 +40,12 @@ class VisitedMarker {
     return true;
   }
 
+  /// Marks v when `cond` holds, as a select rather than a branch: the
+  /// sampling loops pass a coin outcome, which no predictor can learn.
+  void MarkIf(VertexId v, bool cond) {
+    stamp_[v] = cond ? epoch_ : stamp_[v];
+  }
+
   std::size_t size() const { return stamp_.size(); }
 
  private:

@@ -5,43 +5,48 @@
 namespace soldist {
 
 ForwardSimulator::ForwardSimulator(const InfluenceGraph* ig)
-    : ig_(ig), active_(ig->num_vertices()) {
-  queue_.reserve(ig->num_vertices());
-}
+    : ig_(ig), active_(ig->num_vertices()), queue_(ig->num_vertices()) {}
 
 std::uint32_t ForwardSimulator::Simulate(std::span<const VertexId> seeds,
                                          Rng* rng,
                                          TraversalCounters* counters) {
   const Graph& g = ig_->graph();
+  const EdgeId* offsets = g.out_offsets().data();
+  const VertexId* targets = g.out_targets().data();
+  const double* prob = ig_->out_probabilities().data();
+  VertexId* queue = queue_.data();
   active_.NextEpoch();
-  queue_.clear();
+  std::size_t tail = 0;
   for (VertexId s : seeds) {
-    if (active_.Mark(s)) queue_.push_back(s);
+    if (active_.Mark(s)) queue[tail++] = s;
   }
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    VertexId u = queue_[head++];
+  std::uint64_t edges = 0;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const VertexId u = queue[head];
     // Scan u: one vertex examination plus all of its out-edges.
-    counters->vertices += 1;
-    const EdgeId begin = g.out_offsets()[u];
-    const EdgeId end = g.out_offsets()[u + 1];
-    counters->edges += end - begin;
+    const EdgeId begin = offsets[u];
+    const EdgeId end = offsets[u + 1];
+    edges += end - begin;
     for (EdgeId e = begin; e < end; ++e) {
-      VertexId v = g.out_targets()[e];
+      const VertexId v = targets[e];
       if (active_.IsMarked(v)) continue;  // already active: coin is moot
-      if (rng->Bernoulli(ig_->OutProbability(e))) {
-        active_.Mark(v);
-        queue_.push_back(v);
-      }
+      // v is unmarked, so it is not queued and tail < n: the slot is free.
+      const bool live = rng->Bernoulli(prob[e]);
+      active_.MarkIf(v, live);
+      queue[tail] = v;
+      tail += live;
     }
   }
-  return static_cast<std::uint32_t>(queue_.size());
+  // Every queued vertex was scanned exactly once.
+  counters->vertices += tail;
+  counters->edges += edges;
+  return static_cast<std::uint32_t>(tail);
 }
 
 std::vector<VertexId> ForwardSimulator::SimulateSet(
     std::span<const VertexId> seeds, Rng* rng, TraversalCounters* counters) {
-  Simulate(seeds, rng, counters);
-  return queue_;
+  const std::uint32_t size = Simulate(seeds, rng, counters);
+  return {queue_.begin(), queue_.begin() + size};
 }
 
 double ForwardSimulator::EstimateInfluence(std::span<const VertexId> seeds,

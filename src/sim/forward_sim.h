@@ -18,8 +18,16 @@ namespace soldist {
 
 /// \brief Simulates IC diffusions on one influence graph.
 ///
-/// Reusable across simulations (epoch-marked visited array, persistent
-/// queue); not thread-safe — use one simulator per thread.
+/// Reusable across simulations (epoch-marked visited array, an n-entry
+/// queue buffer); not thread-safe — use one simulator per thread.
+///
+/// Draw contract: a diffusion flips exactly one coin,
+/// rng->Bernoulli(p(e)), per out-edge e scanned to a target that is not
+/// yet active, in BFS order. The coin's outcome never decides a branch
+/// (the loop always writes the target at the queue tail and advances the
+/// tail by the outcome), but which coins are drawn, their order and their
+/// p are fixed by this contract, so activated sets, counters and the
+/// Rng's state after every call are a pure function of (seeds, rng).
 class ForwardSimulator {
  public:
   explicit ForwardSimulator(const InfluenceGraph* ig);
@@ -48,7 +56,7 @@ class ForwardSimulator {
  private:
   const InfluenceGraph* ig_;
   VisitedMarker active_;
-  std::vector<VertexId> queue_;
+  std::vector<VertexId> queue_;  // size n; the live prefix is the BFS queue
 };
 
 /// Per-worker-slot simulator cache for EstimateInfluenceSharded: pass the

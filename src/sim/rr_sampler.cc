@@ -10,7 +10,7 @@
 namespace soldist {
 
 RrSampler::RrSampler(const InfluenceGraph* ig)
-    : ig_(ig), visited_(ig->num_vertices()) {}
+    : ig_(ig), visited_(ig->num_vertices()), queue_(ig->num_vertices()) {}
 
 void RrSampler::Sample(Rng* target_rng, Rng* coin_rng,
                        std::vector<VertexId>* out,
@@ -24,27 +24,35 @@ void RrSampler::SampleForTarget(VertexId target, Rng* coin_rng,
                                 std::vector<VertexId>* out,
                                 TraversalCounters* counters) {
   const Graph& g = ig_->graph();
-  out->clear();
+  const EdgeId* offsets = g.in_offsets().data();
+  const VertexId* sources = g.in_sources().data();
+  const double* prob = ig_->in_probabilities().data();
+  VertexId* queue = queue_.data();
   visited_.NextEpoch();
   visited_.Mark(target);
-  out->push_back(target);
-  std::size_t head = 0;
-  while (head < out->size()) {
-    VertexId v = (*out)[head++];
-    counters->vertices += 1;
-    const EdgeId begin = g.in_offsets()[v];
-    const EdgeId end = g.in_offsets()[v + 1];
-    counters->edges += end - begin;
+  queue[0] = target;
+  std::size_t tail = 1;
+  std::uint64_t edges = 0;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const VertexId v = queue[head];
+    const EdgeId begin = offsets[v];
+    const EdgeId end = offsets[v + 1];
+    edges += end - begin;
     for (EdgeId pos = begin; pos < end; ++pos) {
-      VertexId w = g.in_sources()[pos];
+      const VertexId w = sources[pos];
       if (visited_.IsMarked(w)) continue;
-      if (coin_rng->Bernoulli(ig_->InProbability(pos))) {
-        visited_.Mark(w);
-        out->push_back(w);
-      }
+      // w is unmarked, so it is not queued and tail < n: the slot is free.
+      const bool live = coin_rng->Bernoulli(prob[pos]);
+      visited_.MarkIf(w, live);
+      queue[tail] = w;
+      tail += live;
     }
   }
-  counters->sample_vertices += out->size();
+  // Every entry of R was scanned exactly once.
+  counters->vertices += tail;
+  counters->edges += edges;
+  counters->sample_vertices += tail;
+  out->assign(queue, queue + tail);
 }
 
 std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,

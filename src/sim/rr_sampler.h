@@ -23,6 +23,15 @@ namespace soldist {
 ///
 /// Matches the paper's PRNG discipline (Section 4.1): one stream picks the
 /// random target, a second stream drives the edge coins.
+///
+/// Draw contract: one target_rng->UniformInt(n) per Sample, then exactly
+/// one coin, coin_rng->Bernoulli(p(e)), per in-edge e scanned from a
+/// source not yet in R, in BFS order. The coin's outcome never decides a
+/// branch (the loop always writes the source at the queue tail and
+/// advances the tail by the outcome), but which coins are drawn, their
+/// order and their p are fixed by this contract, so RR sets, their entry
+/// order, counters and both Rngs' states are a pure function of the
+/// streams.
 class RrSampler {
  public:
   explicit RrSampler(const InfluenceGraph* ig);
@@ -47,6 +56,7 @@ class RrSampler {
  private:
   const InfluenceGraph* ig_;
   VisitedMarker visited_;
+  std::vector<VertexId> queue_;  // size n; the live prefix is R
 };
 
 /// \brief One chunk's worth of RR sets in flat+offsets (CSR) form, ready

@@ -21,22 +21,32 @@ void SnapshotSampler::SampleInto(Rng* rng, TraversalCounters* counters,
                                  Snapshot* out) {
   const Graph& g = ig_->graph();
   const VertexId n = g.num_vertices();
+  const EdgeId* offsets = g.out_offsets().data();
+  const VertexId* targets = g.out_targets().data();
+  const double* prob = ig_->out_probabilities().data();
   out->out_offsets.resize(static_cast<std::size_t>(n) + 1);
-  out->out_targets.clear();
-  out->out_targets.reserve(
-      static_cast<std::size_t>(ig_->SumProbabilities()) + 16);
   out->out_offsets[0] = 0;
+  std::size_t live = 0;
   for (VertexId u = 0; u < n; ++u) {
-    const EdgeId begin = g.out_offsets()[u];
-    const EdgeId end = g.out_offsets()[u + 1];
-    for (EdgeId e = begin; e < end; ++e) {
-      if (rng->Bernoulli(ig_->OutProbability(e))) {
-        out->out_targets.push_back(g.out_targets()[e]);
-      }
+    const EdgeId begin = offsets[u];
+    const EdgeId end = offsets[u + 1];
+    // Room for every out-edge of u to be live; the scratch only grows to
+    // the largest live count plus one out-degree, never to m.
+    if (live_targets_.size() < live + (end - begin)) {
+      live_targets_.resize(live + (end - begin));
     }
-    out->out_offsets[u + 1] = static_cast<EdgeId>(out->out_targets.size());
+    VertexId* buf = live_targets_.data();
+    for (EdgeId e = begin; e < end; ++e) {
+      buf[live] = targets[e];
+      live += rng->Bernoulli(prob[e]);
+    }
+    out->out_offsets[u + 1] = static_cast<EdgeId>(live);
   }
-  counters->sample_edges += out->num_live_edges();
+  // A fresh snapshot's capacity stays at the live count: the engine path
+  // stores raw snapshots.
+  out->out_targets.assign(live_targets_.begin(),
+                          live_targets_.begin() + live);
+  counters->sample_edges += live;
 }
 
 std::uint32_t SnapshotSampler::CountReachable(const Snapshot& snapshot,

@@ -25,6 +25,14 @@ struct Snapshot {
 };
 
 /// \brief Samples snapshots and answers reachability on them.
+///
+/// Draw contract: a snapshot flips exactly one coin, rng->Bernoulli(p(e)),
+/// per arc e of the graph in CSR order (vertex by vertex, each vertex's
+/// out-arcs in order). The coin's outcome never decides a branch (the
+/// loop always writes the target at the live tail and advances the tail by
+/// the outcome), but the draws themselves are fixed by this contract, so
+/// snapshots, counters and the Rng's state after every call are a pure
+/// function of the stream.
 class SnapshotSampler {
  public:
   explicit SnapshotSampler(const InfluenceGraph* ig);
@@ -60,6 +68,7 @@ class SnapshotSampler {
   const InfluenceGraph* ig_;
   VisitedMarker visited_;
   std::vector<VertexId> queue_;
+  std::vector<VertexId> live_targets_;  // SampleInto's branch-free scratch
 };
 
 /// \brief One chunk's worth of snapshots, produced by SampleSnapshotShards.

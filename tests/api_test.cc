@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "api/session.h"
@@ -15,6 +16,7 @@
 #include "exp/trial_runner.h"
 #include "graph/io.h"
 #include "random/splitmix64.h"
+#include "serve/query_service.h"
 
 namespace soldist {
 namespace {
@@ -211,6 +213,33 @@ TEST(SessionTest, MissingFileIsStatus) {
   auto result = session.Solve(
       api::WorkloadSpec::File("/nonexistent/edges.txt"), api::SolveSpec{});
   ASSERT_FALSE(result.ok());
+}
+
+/// A graph with no vertices gives the samplers nothing to draw; every
+/// entry point must answer InvalidArgument instead of crashing.
+void ExpectEmptyNetworkRejected(const api::WorkloadSpec& workload) {
+  api::Session session;
+  auto instance = session.ResolveWorkload(workload);
+  ASSERT_FALSE(instance.ok());
+  EXPECT_EQ(instance.status().code(), StatusCode::kInvalidArgument);
+  auto oracle = session.ResolveOracle(workload);
+  ASSERT_FALSE(oracle.ok());
+  EXPECT_EQ(oracle.status().code(), StatusCode::kInvalidArgument);
+  serve::QueryService service(&session);
+  auto view = service.View(workload);
+  ASSERT_FALSE(view.ok());
+  EXPECT_EQ(view.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SessionTest, EmptyEdgesWorkloadIsStatus) {
+  ExpectEmptyNetworkRejected(api::WorkloadSpec::Edges("empty", EdgeList{}));
+}
+
+TEST(SessionTest, CommentOnlyFileWorkloadIsStatus) {
+  std::string path = ::testing::TempDir() + "/api_test_empty_edges.txt";
+  { std::ofstream(path) << "# no arcs\n"; }
+  ExpectEmptyNetworkRejected(api::WorkloadSpec::File(path));
+  std::remove(path.c_str());
 }
 
 TEST(SessionTest, ResolvesAndCachesWorkloads) {
