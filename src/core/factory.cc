@@ -1,55 +1,32 @@
 #include "core/factory.h"
 
-#include "core/lt_estimators.h"
 #include "core/oneshot.h"
 #include "core/ris.h"
 
 namespace soldist {
-namespace {
-
-std::unique_ptr<InfluenceEstimator> MakeIcEstimator(
-    const InfluenceGraph* ig, Approach approach, std::uint64_t sample_number,
-    std::uint64_t seed, SnapshotEstimator::Mode snapshot_mode,
-    const SamplingOptions& sampling) {
-  switch (approach) {
-    case Approach::kOneshot:
-      return std::make_unique<OneshotEstimator>(ig, sample_number, seed,
-                                                sampling);
-    case Approach::kSnapshot:
-      return std::make_unique<SnapshotEstimator>(ig, sample_number, seed,
-                                                 snapshot_mode, sampling);
-    case Approach::kRis:
-      return std::make_unique<RisEstimator>(ig, sample_number, seed,
-                                            sampling);
-  }
-  SOLDIST_CHECK(false) << "unreachable";
-  return nullptr;
-}
-
-}  // namespace
 
 std::unique_ptr<InfluenceEstimator> MakeEstimator(
     const ModelInstance& instance, Approach approach,
     std::uint64_t sample_number, std::uint64_t seed,
     SnapshotEstimator::Mode snapshot_mode, const SamplingOptions& sampling) {
   SOLDIST_CHECK(instance.ig != nullptr);
-  if (instance.model == DiffusionModel::kLt) {
-    SOLDIST_CHECK(instance.lt_weights != nullptr)
-        << "LT instance without LtWeights — resolve it through "
-           "InstanceRegistry::GetModelInstance or ModelInstance::Lt";
-    return MakeLtEstimator(instance.lt_weights, approach, sample_number,
-                           seed, sampling);
+  SOLDIST_CHECK(instance.model != DiffusionModel::kLt ||
+                instance.lt_weights != nullptr)
+      << "LT instance without LtWeights — resolve it through "
+         "InstanceRegistry::GetModelInstance or ModelInstance::Lt";
+  switch (approach) {
+    case Approach::kOneshot:
+      return std::make_unique<OneshotEstimator>(instance, sample_number, seed,
+                                                sampling);
+    case Approach::kSnapshot:
+      return std::make_unique<SnapshotEstimator>(
+          instance, sample_number, seed, snapshot_mode, sampling);
+    case Approach::kRis:
+      return std::make_unique<RisEstimator>(instance, sample_number, seed,
+                                            sampling);
   }
-  return MakeIcEstimator(instance.ig, approach, sample_number, seed,
-                         snapshot_mode, sampling);
-}
-
-std::unique_ptr<InfluenceEstimator> MakeEstimator(
-    const InfluenceGraph* ig, Approach approach, std::uint64_t sample_number,
-    std::uint64_t seed, SnapshotEstimator::Mode snapshot_mode,
-    const SamplingOptions& sampling) {
-  return MakeIcEstimator(ig, approach, sample_number, seed, snapshot_mode,
-                         sampling);
+  SOLDIST_CHECK(false) << "unreachable";
+  return nullptr;
 }
 
 }  // namespace soldist

@@ -53,7 +53,7 @@ ImmResult RunImm(const InfluenceGraph& ig, const ImmParams& params,
   std::optional<RrSampler> sampler;
   std::optional<Rng> target_rng;
   std::optional<Rng> coin_rng;
-  if (sampling.UseEngine()) {
+  if (UseChunkedStreams(DiffusionModel::kIc, sampling)) {
     engine = std::make_unique<SamplingEngine>(sampling);
   } else {
     sampler.emplace(&ig);

@@ -7,32 +7,38 @@
 #define SOLDIST_CORE_ONESHOT_H_
 
 #include <memory>
+#include <optional>
+#include <variant>
 #include <vector>
 
 #include "core/estimator.h"
-#include "model/influence_graph.h"
+#include "model/diffusion.h"
 #include "sim/forward_sim.h"
+#include "sim/lt_forward_sim.h"
 #include "sim/sampling_engine.h"
 
 namespace soldist {
 
-/// \brief The Oneshot estimator.
+/// \brief The Oneshot estimator, under either diffusion model.
 class OneshotEstimator : public InfluenceEstimator {
  public:
   /// \param beta simulations per estimate (must be >= 1)
   /// \param seed PRNG seed for this run
-  OneshotEstimator(const InfluenceGraph* ig, std::uint64_t beta,
+  OneshotEstimator(const ModelInstance& instance, std::uint64_t beta,
                    std::uint64_t seed, const SamplingOptions& sampling = {});
+  OneshotEstimator(const InfluenceGraph* ig, std::uint64_t beta,
+                   std::uint64_t seed, const SamplingOptions& sampling = {})
+      : OneshotEstimator(ModelInstance::Ic(ig), beta, seed, sampling) {}
 
   void Build() override {}  // Oneshot builds nothing.
 
   /// Mean activated count over β fresh simulations from S ∪ {v}.
   ///
-  /// With SamplingOptions::UseEngine() the β runs of each call fan out
-  /// through the engine: call j uses per-chunk streams derived from
-  /// (seed, call index j), so the sequence of estimates is deterministic
-  /// for any worker count. The default keeps the legacy single-stream
-  /// loop, bit-identical to the pre-engine code.
+  /// On the chunked streams (UseChunkedStreams) the β runs of each call
+  /// fan out through the engine: call j uses per-chunk streams derived
+  /// from (seed, call index j), so the sequence of estimates is
+  /// deterministic for any worker count. The IC legacy family keeps the
+  /// single-stream loop, bit-identical to the pre-engine code.
   double Estimate(VertexId v) override;
 
   void Update(VertexId v) override { seeds_.push_back(v); }
@@ -40,16 +46,19 @@ class OneshotEstimator : public InfluenceEstimator {
   bool EstimatesAreMarginal() const override { return false; }
   std::uint64_t sample_number() const override { return beta_; }
   const TraversalCounters& counters() const override { return counters_; }
-  std::string name() const override { return "Oneshot"; }
+  std::string name() const override {
+    return instance_.model == DiffusionModel::kLt ? "LT-Oneshot" : "Oneshot";
+  }
 
  private:
-  const InfluenceGraph* ig_;
+  ModelInstance instance_;
   std::uint64_t beta_;
   Rng rng_;
-  ForwardSimulator simulator_;
-  /// Engine path only: reused across Estimate calls (it may own a pool).
+  std::optional<ForwardSimulator> simulator_;  ///< IC legacy loop only
+  /// Chunked streams only: reused across Estimate calls (it may own a
+  /// pool), with the model kernel's per-slot simulators.
   std::unique_ptr<SamplingEngine> engine_;
-  ForwardSimulatorCache sim_cache_;  ///< per-slot simulators, engine path
+  std::variant<ForwardSimulatorCache, LtForwardSimulatorCache> sim_cache_;
   std::uint64_t call_master_ = 0;  ///< DeriveSeed(seed, 3)
   std::uint64_t calls_ = 0;
   std::vector<VertexId> seeds_;

@@ -4,30 +4,30 @@
 
 namespace soldist {
 
-RisEstimator::RisEstimator(const InfluenceGraph* ig, std::uint64_t theta,
+RisEstimator::RisEstimator(const ModelInstance& instance, std::uint64_t theta,
                            std::uint64_t seed,
                            const SamplingOptions& sampling)
-    : ig_(ig),
+    : instance_(instance),
       theta_(theta),
       seed_(seed),
       sampling_(sampling),
-      collection_(ig->num_vertices()) {
+      collection_(instance.ig->num_vertices()) {
   SOLDIST_CHECK(theta_ >= 1);
 }
 
 void RisEstimator::Build() {
   SOLDIST_CHECK(!built_) << "Build() must be called exactly once";
   built_ = true;
-  if (sampling_.UseEngine()) {
+  if (UseChunkedStreams(instance_.model, sampling_)) {
     SamplingEngine engine(sampling_);
     std::vector<RrShard> shards =
-        SampleRrShards(*ig_, seed_, theta_, &engine);
+        SampleRrShards(instance_, seed_, theta_, &engine);
     for (const RrShard& shard : shards) counters_ += shard.counters;
     collection_.Merge(std::move(shards));
   } else {
-    // Legacy sequential path: the paper's two-stream discipline, sampler
-    // state alive only for the duration of the build.
-    RrSampler sampler(ig_);
+    // Legacy sequential IC path: the paper's two-stream discipline,
+    // sampler state alive only for the duration of the build.
+    RrSampler sampler(instance_.ig);
     Rng target_rng(DeriveSeed(seed_, 1));
     Rng coin_rng(DeriveSeed(seed_, 2));
     std::vector<VertexId> rr_set;
@@ -37,12 +37,13 @@ void RisEstimator::Build() {
     }
   }
   collection_.BuildIndex();
-  cover_count_.assign(ig_->num_vertices(), 0);
+  const VertexId n = instance_.ig->num_vertices();
+  cover_count_.assign(n, 0);
   for (std::uint64_t set_id = 0; set_id < collection_.size(); ++set_id) {
     for (VertexId v : collection_.Set(set_id)) ++cover_count_[v];
   }
   set_active_.assign(collection_.size(), 1);
-  chosen_.assign(ig_->num_vertices(), 0);
+  chosen_.assign(n, 0);
 }
 
 double RisEstimator::Estimate(VertexId v) {
@@ -50,7 +51,7 @@ double RisEstimator::Estimate(VertexId v) {
   SOLDIST_DCHECK(!chosen_[v] || cover_count_[v] == 0)
       << "stale score: chosen seed " << v
       << " still covers active sets — Update must decrement eagerly";
-  return static_cast<double>(ig_->num_vertices()) *
+  return static_cast<double>(instance_.ig->num_vertices()) *
          static_cast<double>(cover_count_[v]) / static_cast<double>(theta_);
 }
 

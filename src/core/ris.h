@@ -3,11 +3,12 @@
 // coverage. Estimate(v) is the marginal coverage n·F_R(v); Update removes
 // the RR sets covered by the new seed.
 //
-// Build parallelism: with SamplingOptions::UseEngine() the θ RR sets are
+// Build parallelism: on the chunked streams (UseChunkedStreams: always
+// under LT, under IC when SamplingOptions::UseEngine()) the θ RR sets are
 // drawn through SamplingEngine's deterministic chunked streams and merged
-// shard-by-shard into the collection; the default (num_threads = 1) keeps
-// the legacy two-stream sequential loop, bit-identical to the pre-engine
-// code.
+// shard-by-shard into the collection; the IC default (num_threads = 1)
+// keeps the legacy two-stream sequential loop, bit-identical to the
+// pre-engine code.
 
 #ifndef SOLDIST_CORE_RIS_H_
 #define SOLDIST_CORE_RIS_H_
@@ -15,19 +16,23 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "model/influence_graph.h"
+#include "model/diffusion.h"
 #include "sim/rr_arena.h"
 #include "sim/rr_sampler.h"
 #include "sim/sampling_engine.h"
 
 namespace soldist {
 
-/// \brief The RIS estimator.
+/// \brief The RIS estimator, under either diffusion model (LT RR sets are
+/// backward walks; coverage works the same).
 class RisEstimator : public InfluenceEstimator {
  public:
   /// \param theta number of RR sets (must be >= 1)
-  RisEstimator(const InfluenceGraph* ig, std::uint64_t theta,
+  RisEstimator(const ModelInstance& instance, std::uint64_t theta,
                std::uint64_t seed, const SamplingOptions& sampling = {});
+  RisEstimator(const InfluenceGraph* ig, std::uint64_t theta,
+               std::uint64_t seed, const SamplingOptions& sampling = {})
+      : RisEstimator(ModelInstance::Ic(ig), theta, seed, sampling) {}
 
   /// Draws the θ RR sets (two PRNG streams: targets and edge coins, as in
   /// paper Section 4.1) and builds coverage counts.
@@ -48,13 +53,15 @@ class RisEstimator : public InfluenceEstimator {
   bool EstimatesAreMarginal() const override { return true; }
   std::uint64_t sample_number() const override { return theta_; }
   const TraversalCounters& counters() const override { return counters_; }
-  std::string name() const override { return "RIS"; }
+  std::string name() const override {
+    return instance_.model == DiffusionModel::kLt ? "LT-RIS" : "RIS";
+  }
 
   /// Empirical mean RR-set size (EPT); valid after Build.
   double EmpiricalEpt() const { return collection_.MeanSize(); }
 
  private:
-  const InfluenceGraph* ig_;
+  ModelInstance instance_;
   std::uint64_t theta_;
   std::uint64_t seed_;
   SamplingOptions sampling_;
@@ -72,9 +79,9 @@ class RisEstimator : public InfluenceEstimator {
 ///
 /// Byte-identical contract: for an arena sampled with seed S and options
 /// O, ArenaRisEstimator(arena, θ) produces the same Estimate sequence,
-/// Update effects, and counters as RisEstimator(ig, θ, S, O) /
-/// LtRisEstimator(weights, θ, S, O) — the arena's prefix IS that
-/// estimator's collection (sim/rr_arena.h), the marginal-coverage
+/// Update effects, and counters as RisEstimator(instance, θ, S, O) for
+/// the arena's model — the arena's prefix IS that estimator's collection
+/// (sim/rr_arena.h), the marginal-coverage
 /// arithmetic is identical, and counters() returns the prefix's exact
 /// sampling cost. Enforced by ctest (sweep_reuse_test, api_test).
 ///

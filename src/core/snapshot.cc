@@ -52,30 +52,32 @@ namespace {
 
 /// kNaive / kResidual: the pre-condensation code, verbatim — full
 /// snapshots in CSR form, per-candidate BFS on the (residual) live-edge
-/// graphs.
+/// graphs. The only backend LT runs (kNaive): reachability on a sampled
+/// live-edge graph is model-agnostic, so only the sampling kernel
+/// differs.
 class FullSnapshotBackend : public SnapshotEstimator::Backend {
  public:
-  FullSnapshotBackend(const InfluenceGraph* ig, std::uint64_t tau,
+  FullSnapshotBackend(const ModelInstance& instance, std::uint64_t tau,
                       std::uint64_t seed, SnapshotEstimator::Mode mode,
                       const SamplingOptions& sampling,
                       TraversalCounters* counters)
-      : ig_(ig),
+      : instance_(instance),
         tau_(tau),
         seed_(seed),
         mode_(mode),
         sampling_(sampling),
-        sampler_(ig),
+        sampler_(instance.ig),
         counters_(counters),
-        visited_(ig->num_vertices()) {
-    queue_.reserve(ig->num_vertices());
+        visited_(instance.ig->num_vertices()) {
+    queue_.reserve(instance.ig->num_vertices());
   }
 
   void Build() override {
     snapshots_.reserve(tau_);
-    if (sampling_.UseEngine()) {
+    if (UseChunkedStreams(instance_.model, sampling_)) {
       SamplingEngine engine(sampling_);
       std::vector<SnapshotShard> shards =
-          SampleSnapshotShards(*ig_, seed_, tau_, &engine);
+          SampleSnapshotShards(instance_, seed_, tau_, &engine);
       for (SnapshotShard& shard : shards) {
         *counters_ += shard.counters;
         for (Snapshot& snap : shard.snapshots) {
@@ -92,7 +94,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
       base_reach_.assign(tau_, 0);  // r_i(∅) = 0
     } else {
       removed_.assign(
-          tau_ * static_cast<std::uint64_t>(ig_->num_vertices()), 0);
+          tau_ * static_cast<std::uint64_t>(instance_.ig->num_vertices()), 0);
     }
   }
 
@@ -149,8 +151,8 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
                               std::span<const VertexId> sources,
                               bool mark_removed) {
     const Snapshot& snap = snapshots_[i];
-    const std::uint8_t* removed =
-        removed_.data() + i * static_cast<std::uint64_t>(ig_->num_vertices());
+    const std::uint64_t n = instance_.ig->num_vertices();
+    const std::uint8_t* removed = removed_.data() + i * n;
     visited_.NextEpoch();
     queue_.clear();
     for (VertexId s : sources) {
@@ -172,20 +174,18 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
       }
     }
     if (mark_removed) {
-      auto* removed_mut =
-          removed_.data() +
-          i * static_cast<std::uint64_t>(ig_->num_vertices());
+      std::uint8_t* removed_mut = removed_.data() + i * n;
       for (VertexId u : queue_) removed_mut[u] = 1;
     }
     return static_cast<std::uint32_t>(queue_.size());
   }
 
-  const InfluenceGraph* ig_;
+  ModelInstance instance_;
   std::uint64_t tau_;
   std::uint64_t seed_;
   SnapshotEstimator::Mode mode_;
   SamplingOptions sampling_;
-  SnapshotSampler sampler_;
+  SnapshotSampler sampler_;  // IC legacy sampling; BFS for both models
   TraversalCounters* counters_;
   std::vector<Snapshot> snapshots_;
   /// Naive mode: r_i(S) for the current seed set S.
@@ -452,7 +452,7 @@ class CondensedBackend : public SnapshotEstimator::Backend {
 
   void Build() override {
     snaps_.reserve(tau_);
-    if (sampling_.UseEngine()) {
+    if (UseChunkedStreams(DiffusionModel::kIc, sampling_)) {
       SamplingEngine engine(sampling_);
       std::vector<CondensedSnapshotShard> shards =
           SampleCondensedSnapshotShards(*ig_, seed_, tau_, &engine);
@@ -524,11 +524,16 @@ class CondensedBackend : public SnapshotEstimator::Backend {
 
 }  // namespace
 
-SnapshotEstimator::SnapshotEstimator(const InfluenceGraph* ig,
+SnapshotEstimator::SnapshotEstimator(const ModelInstance& instance,
                                      std::uint64_t tau, std::uint64_t seed,
                                      Mode mode,
                                      const SamplingOptions& sampling)
-    : ig_(ig), tau_(tau), seed_(seed), mode_(mode), sampling_(sampling) {
+    : instance_(instance),
+      tau_(tau),
+      seed_(seed),
+      mode_(instance.model == DiffusionModel::kLt ? Mode::kNaive : mode),
+      sampling_(sampling) {
+  SOLDIST_CHECK(instance_.ig != nullptr);
   SOLDIST_CHECK(tau_ >= 1);
 }
 
@@ -541,11 +546,11 @@ void SnapshotEstimator::Build() {
   // backend: the condensed backend keeps component-granular state only
   // and never allocates the O(n)-per-snapshot arrays of the full modes.
   if (mode_ == Mode::kCondensed) {
-    backend_ = std::make_unique<CondensedBackend>(ig_, tau_, seed_,
-                                                  sampling_, &counters_);
+    backend_ = std::make_unique<CondensedBackend>(
+        instance_.ig, tau_, seed_, sampling_, &counters_);
   } else {
     backend_ = std::make_unique<FullSnapshotBackend>(
-        ig_, tau_, seed_, mode_, sampling_, &counters_);
+        instance_, tau_, seed_, mode_, sampling_, &counters_);
   }
   backend_->Build();
 }

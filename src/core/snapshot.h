@@ -43,29 +43,36 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "model/influence_graph.h"
+#include "model/diffusion.h"
 #include "sim/sampling_engine.h"
 #include "sim/snapshot_sampler.h"
 #include "util/status.h"
 
 namespace soldist {
 
-/// \brief The Snapshot estimator.
+/// \brief The Snapshot estimator, under either diffusion model.
 class SnapshotEstimator : public InfluenceEstimator {
  public:
   enum class Mode { kNaive, kResidual, kCondensed };
 
   /// \param tau number of snapshots (must be >= 1)
-  SnapshotEstimator(const InfluenceGraph* ig, std::uint64_t tau,
+  /// \param mode IC only: LT always runs kNaive (naive marginals with the
+  ///        base reach cached per greedy round), so LT counters never
+  ///        depend on the mode asked for.
+  SnapshotEstimator(const ModelInstance& instance, std::uint64_t tau,
                     std::uint64_t seed, Mode mode = Mode::kResidual,
                     const SamplingOptions& sampling = {});
+  SnapshotEstimator(const InfluenceGraph* ig, std::uint64_t tau,
+                    std::uint64_t seed, Mode mode = Mode::kResidual,
+                    const SamplingOptions& sampling = {})
+      : SnapshotEstimator(ModelInstance::Ic(ig), tau, seed, mode, sampling) {}
   ~SnapshotEstimator() override;
 
   /// Samples the τ snapshots — through SamplingEngine's deterministic
-  /// chunked streams when SamplingOptions::UseEngine(), else through the
-  /// legacy sequential loop (bit-identical to the pre-engine code). In
-  /// kCondensed mode each snapshot is condensed as it is sampled and the
-  /// raw live-edge CSR is discarded immediately.
+  /// chunked streams when UseChunkedStreams(model, sampling), else through
+  /// the IC legacy sequential loop (bit-identical to the pre-engine code).
+  /// In kCondensed mode each snapshot is condensed as it is sampled and
+  /// the raw live-edge CSR is discarded immediately.
   void Build() override;
 
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].
@@ -92,7 +99,10 @@ class SnapshotEstimator : public InfluenceEstimator {
 
   std::uint64_t sample_number() const override { return tau_; }
   const TraversalCounters& counters() const override { return counters_; }
-  std::string name() const override { return "Snapshot"; }
+  std::string name() const override {
+    return instance_.model == DiffusionModel::kLt ? "LT-Snapshot"
+                                                  : "Snapshot";
+  }
 
   Mode mode() const { return mode_; }
 
@@ -107,7 +117,7 @@ class SnapshotEstimator : public InfluenceEstimator {
   class Backend;
 
  private:
-  const InfluenceGraph* ig_;
+  ModelInstance instance_;
   std::uint64_t tau_;
   std::uint64_t seed_;
   Mode mode_;

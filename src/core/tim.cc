@@ -31,7 +31,7 @@ double EstimateKpt(const InfluenceGraph& ig, const TimParams& params,
   std::optional<Rng> target_rng;
   std::optional<Rng> coin_rng;
   std::vector<VertexId> rr_set;
-  if (sampling.UseEngine()) {
+  if (UseChunkedStreams(DiffusionModel::kIc, sampling)) {
     engine = std::make_unique<SamplingEngine>(sampling);
   } else {
     sampler.emplace(&ig);

@@ -581,7 +581,9 @@ std::string QueryService::CacheKey(ArenaKind kind,
                                    const SamplingOptions& sampling) {
   std::string key = std::string(ArenaKindName(kind)) + "#" +
                     workload.Label() + "#seed=" + std::to_string(spec.seed);
-  key += sampling.UseEngine()
+  // LT draws the chunked streams at any worker count, so its family
+  // always names the chunk size that selects them.
+  key += UseChunkedStreams(workload.model, sampling)
              ? "#engine/" + std::to_string(sampling.chunk_size)
              : "#seq";
   return key;

@@ -118,14 +118,7 @@ std::vector<CondensedSnapshotShard> SampleCondensedSnapshotShards(
       slots[slot]->sampler.SampleInto(&rng, &shard.counters,
                                       &slots[slot]->scratch);
       if (record_per_snapshot) {
-        TraversalCounters delta;
-        delta.vertices = shard.counters.vertices - before.vertices;
-        delta.edges = shard.counters.edges - before.edges;
-        delta.sample_vertices =
-            shard.counters.sample_vertices - before.sample_vertices;
-        delta.sample_edges =
-            shard.counters.sample_edges - before.sample_edges;
-        shard.per_snapshot.push_back(delta);
+        shard.per_snapshot.push_back(shard.counters - before);
       }
       shard.snapshots.push_back(
           slots[slot]->condenser.Condense(slots[slot]->scratch));

@@ -41,6 +41,14 @@ struct TraversalCounters {
     sample_edges += other.sample_edges;
     return *this;
   }
+
+  /// Field-wise difference; `earlier` must be a snapshot of these
+  /// counters (the cost of the work done since it was taken).
+  TraversalCounters operator-(const TraversalCounters& earlier) const {
+    return {vertices - earlier.vertices, edges - earlier.edges,
+            sample_vertices - earlier.sample_vertices,
+            sample_edges - earlier.sample_edges};
+  }
 };
 
 /// Sum of per-thread/per-chunk counter shards (integer fields, so the

@@ -11,6 +11,7 @@
 #include "graph/traversal.h"
 #include "model/influence_graph.h"
 #include "random/rng.h"
+#include "random/splitmix64.h"
 #include "sim/counters.h"
 #include "sim/sampling_engine.h"
 
@@ -64,21 +65,50 @@ class ForwardSimulator {
 /// greedy round) so each slot's O(n) simulator is built once, not per
 /// chunk. Scratch reuse never affects results — all randomness comes from
 /// the per-chunk streams.
-using ForwardSimulatorCache = std::vector<std::unique_ptr<ForwardSimulator>>;
+template <typename Simulator>
+using SimulatorCache = std::vector<std::unique_ptr<Simulator>>;
+using ForwardSimulatorCache = SimulatorCache<ForwardSimulator>;
 
 /// Mean activated count over `runs` diffusions from `seeds`, fanned out
 /// through `engine` with per-chunk PRNG streams (chunk c draws from
-/// DeriveSeed(DeriveSeed(master_seed, c), 1)). Activated counts are
-/// integers accumulated per chunk and merged in chunk order, so the result
-/// is byte-identical for any worker count. `cache` (optional) amortizes
-/// simulator construction across calls; it must not be shared between
-/// concurrently running calls.
+/// DeriveSeed(DeriveSeed(master_seed, c), 1)). `Simulator` is the model's
+/// kernel: ForwardSimulator (IC, the default) or LtForwardSimulator.
+/// Activated counts are integers accumulated per chunk and merged in chunk
+/// order, so the result is byte-identical for any worker count. `cache`
+/// (optional) amortizes simulator construction across calls; it must not
+/// be shared between concurrently running calls.
+template <typename Simulator = ForwardSimulator>
 double EstimateInfluenceSharded(const InfluenceGraph& ig,
                                 std::span<const VertexId> seeds,
                                 std::uint64_t runs, std::uint64_t master_seed,
                                 SamplingEngine* engine,
                                 TraversalCounters* counters,
-                                ForwardSimulatorCache* cache = nullptr);
+                                SimulatorCache<Simulator>* cache = nullptr) {
+  SOLDIST_CHECK(runs > 0);
+  const std::uint64_t num_chunks = engine->NumChunks(runs);
+  SimulatorCache<Simulator> local_cache;
+  SimulatorCache<Simulator>& sims = cache != nullptr ? *cache : local_cache;
+  if (sims.size() < engine->num_workers()) {
+    sims.resize(engine->num_workers());
+  }
+  std::vector<std::uint64_t> totals(num_chunks, 0);
+  std::vector<TraversalCounters> chunk_counters(num_chunks);
+  engine->Run(master_seed, runs,
+              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
+    if (sims[slot] == nullptr) {
+      sims[slot] = std::make_unique<Simulator>(&ig);
+    }
+    Rng rng(DeriveSeed(chunk.seed, 1));
+    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
+      totals[chunk.index] +=
+          sims[slot]->Simulate(seeds, &rng, &chunk_counters[chunk.index]);
+    }
+  });
+  std::uint64_t total = 0;
+  for (std::uint64_t t : totals) total += t;
+  if (counters != nullptr) *counters += MergeCounters(chunk_counters);
+  return static_cast<double>(total) / static_cast<double>(runs);
+}
 
 }  // namespace soldist
 

@@ -1,7 +1,5 @@
 #include "sim/lt_forward_sim.h"
 
-#include "random/splitmix64.h"
-
 namespace soldist {
 
 LtForwardSimulator::LtForwardSimulator(const InfluenceGraph* ig)
@@ -56,39 +54,6 @@ double LtForwardSimulator::EstimateInfluence(std::span<const VertexId> seeds,
   for (std::uint64_t i = 0; i < runs; ++i) {
     total += Simulate(seeds, rng, counters);
   }
-  return static_cast<double>(total) / static_cast<double>(runs);
-}
-
-double EstimateLtInfluenceSharded(const InfluenceGraph& ig,
-                                  std::span<const VertexId> seeds,
-                                  std::uint64_t runs,
-                                  std::uint64_t master_seed,
-                                  SamplingEngine* engine,
-                                  TraversalCounters* counters,
-                                  LtForwardSimulatorCache* cache) {
-  SOLDIST_CHECK(runs > 0);
-  const std::uint64_t num_chunks = engine->NumChunks(runs);
-  LtForwardSimulatorCache local_cache;
-  LtForwardSimulatorCache& sims = cache != nullptr ? *cache : local_cache;
-  if (sims.size() < engine->num_workers()) {
-    sims.resize(engine->num_workers());
-  }
-  std::vector<std::uint64_t> totals(num_chunks, 0);
-  std::vector<TraversalCounters> chunk_counters(num_chunks);
-  engine->Run(master_seed, runs,
-              [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
-    if (sims[slot] == nullptr) {
-      sims[slot] = std::make_unique<LtForwardSimulator>(&ig);
-    }
-    Rng rng(DeriveSeed(chunk.seed, 1));
-    for (std::uint64_t i = chunk.begin; i < chunk.end; ++i) {
-      totals[chunk.index] +=
-          sims[slot]->Simulate(seeds, &rng, &chunk_counters[chunk.index]);
-    }
-  });
-  std::uint64_t total = 0;
-  for (std::uint64_t t : totals) total += t;
-  if (counters != nullptr) *counters += MergeCounters(chunk_counters);
   return static_cast<double>(total) / static_cast<double>(runs);
 }
 

@@ -12,6 +12,7 @@
 #include "model/influence_graph.h"
 #include "random/rng.h"
 #include "sim/counters.h"
+#include "sim/forward_sim.h"
 #include "sim/sampling_engine.h"
 
 namespace soldist {
@@ -44,28 +45,17 @@ class LtForwardSimulator {
   std::vector<VertexId> queue_;
 };
 
-/// Per-worker-slot simulator cache for EstimateLtInfluenceSharded, the LT
-/// counterpart of ForwardSimulatorCache: pass the same cache across calls
-/// so each slot's O(n) simulator is built once, not per chunk. Scratch
-/// reuse never affects results — all randomness comes from the per-chunk
-/// streams.
-using LtForwardSimulatorCache =
-    std::vector<std::unique_ptr<LtForwardSimulator>>;
+using LtForwardSimulatorCache = SimulatorCache<LtForwardSimulator>;
 
-/// Mean activated count over `runs` LT diffusions from `seeds`, fanned out
-/// through `engine` with per-chunk PRNG streams (chunk c draws from
-/// DeriveSeed(DeriveSeed(master_seed, c), 1), mirroring the IC
-/// EstimateInfluenceSharded). Activated counts are integers accumulated
-/// per chunk and merged in chunk order, so the result is byte-identical
-/// for any worker count. `cache` (optional) must not be shared between
-/// concurrently running calls.
-double EstimateLtInfluenceSharded(const InfluenceGraph& ig,
-                                  std::span<const VertexId> seeds,
-                                  std::uint64_t runs,
-                                  std::uint64_t master_seed,
-                                  SamplingEngine* engine,
-                                  TraversalCounters* counters,
-                                  LtForwardSimulatorCache* cache = nullptr);
+/// LT shorthand for EstimateInfluenceSharded<LtForwardSimulator>: the same
+/// chunk driver and stream derivation as IC.
+inline double EstimateLtInfluenceSharded(
+    const InfluenceGraph& ig, std::span<const VertexId> seeds,
+    std::uint64_t runs, std::uint64_t master_seed, SamplingEngine* engine,
+    TraversalCounters* counters, LtForwardSimulatorCache* cache = nullptr) {
+  return EstimateInfluenceSharded<LtForwardSimulator>(
+      ig, seeds, runs, master_seed, engine, counters, cache);
+}
 
 }  // namespace soldist
 

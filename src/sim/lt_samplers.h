@@ -6,16 +6,17 @@
 //  * an LT RR set is a backward *walk* (each vertex has one candidate
 //    live in-edge), so generation is a chain, not a BFS tree.
 //
-// Both samplers also come in chunked batch form (SampleLtRrShards /
-// SampleLtSnapshotShards) on top of SamplingEngine, mirroring the IC
-// shard samplers: chunk c draws from streams derived from the chunk seed
-// alone, so LT parallel builds are byte-identical for any worker count.
+// Their chunked batch form is the IC chunk drivers (SampleRrShards /
+// SampleSnapshotShards on a ModelInstance) instantiated with these
+// kernels: chunk c draws from streams derived from the chunk seed alone,
+// so LT parallel builds are byte-identical for any worker count.
 
 #ifndef SOLDIST_SIM_LT_SAMPLERS_H_
 #define SOLDIST_SIM_LT_SAMPLERS_H_
 
 #include <vector>
 
+#include "model/diffusion.h"
 #include "model/lt.h"
 #include "sim/rr_sampler.h"
 #include "sim/sampling_engine.h"
@@ -72,27 +73,25 @@ class LtRrSampler {
   VisitedMarker visited_;
 };
 
-/// Samples `count` LT RR sets through `engine`, one RrShard per chunk.
-///
-/// Chunk c derives its (target, coin) stream pair from the chunk seed
-/// DeriveSeed(master_seed, c) exactly like the IC SampleRrShards, so the
-/// shard sequence — and therefore the merged collection — is
-/// byte-identical for any worker count. `record_per_set` fills
-/// RrShard::per_set (pure observation, drawn content unchanged).
-std::vector<RrShard> SampleLtRrShards(const LtWeights& weights,
-                                      std::uint64_t master_seed,
-                                      std::uint64_t count,
-                                      SamplingEngine* engine,
-                                      bool record_per_set = false);
+/// LT shorthand for SampleRrShards(ModelInstance::Lt(&weights), ...): the
+/// same chunk driver and stream derivation as IC, walking with
+/// LtRrSampler.
+inline std::vector<RrShard> SampleLtRrShards(const LtWeights& weights,
+                                             std::uint64_t master_seed,
+                                             std::uint64_t count,
+                                             SamplingEngine* engine,
+                                             bool record_per_set = false) {
+  return SampleRrShards(ModelInstance::Lt(&weights), master_seed, count,
+                        engine, record_per_set);
+}
 
-/// Samples `count` LT snapshots through `engine`, one SnapshotShard per
-/// chunk; chunk c draws from a stream seeded with
-/// DeriveSeed(DeriveSeed(master_seed, c), 1), mirroring the IC
-/// SampleSnapshotShards.
-std::vector<SnapshotShard> SampleLtSnapshotShards(const LtWeights& weights,
-                                                  std::uint64_t master_seed,
-                                                  std::uint64_t count,
-                                                  SamplingEngine* engine);
+/// LT shorthand for SampleSnapshotShards(ModelInstance::Lt(&weights), ...).
+inline std::vector<SnapshotShard> SampleLtSnapshotShards(
+    const LtWeights& weights, std::uint64_t master_seed, std::uint64_t count,
+    SamplingEngine* engine) {
+  return SampleSnapshotShards(ModelInstance::Lt(&weights), master_seed,
+                              count, engine);
+}
 
 }  // namespace soldist
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "random/splitmix64.h"
-#include "sim/lt_samplers.h"
 #include "util/logging.h"
 
 namespace soldist {
@@ -66,16 +65,17 @@ std::uint64_t TruncateCancelledShards(std::vector<RrShard>* shards,
 
 }  // namespace
 
-RrArena RrArena::SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling) {
+RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
+                           std::uint64_t capacity,
+                           const SamplingOptions& sampling) {
+  SOLDIST_CHECK(instance.ig != nullptr);
   SOLDIST_CHECK(capacity >= 1);
   RrArena arena;
-  arena.num_vertices_ = ig.num_vertices();
-  if (sampling.UseEngine()) {
+  arena.num_vertices_ = instance.ig->num_vertices();
+  if (UseChunkedStreams(instance.model, sampling)) {
     SamplingEngine engine(sampling);
-    std::vector<RrShard> shards = SampleRrShards(ig, seed, capacity, &engine,
-                                                 /*record_per_set=*/true);
+    std::vector<RrShard> shards = SampleRrShards(
+        instance, seed, capacity, &engine, /*record_per_set=*/true);
     const std::uint64_t actual =
         sampling.cancel == nullptr
             ? capacity
@@ -83,10 +83,10 @@ RrArena RrArena::SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
     arena.Finalize(std::move(shards), actual);
     return arena;
   }
-  // Legacy sequential discipline (RisEstimator::Build's non-engine path):
+  // Legacy sequential IC discipline (RisEstimator::Build's other branch):
   // one (target, coin) stream pair drives every set in order, so every
   // prefix coincides with a direct smaller build.
-  RrSampler sampler(&ig);
+  RrSampler sampler(instance.ig);
   Rng target_rng(DeriveSeed(seed, 1));
   Rng coin_rng(DeriveSeed(seed, 2));
   std::vector<RrShard> shards(1);
@@ -103,51 +103,12 @@ RrArena RrArena::SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
     }
     const TraversalCounters before = shard.counters;
     sampler.Sample(&target_rng, &coin_rng, &rr_set, &shard.counters);
-    TraversalCounters delta;
-    delta.vertices = shard.counters.vertices - before.vertices;
-    delta.edges = shard.counters.edges - before.edges;
-    delta.sample_vertices =
-        shard.counters.sample_vertices - before.sample_vertices;
-    delta.sample_edges = shard.counters.sample_edges - before.sample_edges;
-    shard.per_set.push_back(delta);
+    shard.per_set.push_back(shard.counters - before);
     shard.flat.insert(shard.flat.end(), rr_set.begin(), rr_set.end());
     shard.offsets.push_back(static_cast<std::uint64_t>(shard.flat.size()));
   }
   arena.Finalize(std::move(shards), shard.num_sets());
   return arena;
-}
-
-RrArena RrArena::SampleLt(const LtWeights& weights, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling) {
-  SOLDIST_CHECK(capacity >= 1);
-  RrArena arena;
-  arena.num_vertices_ = weights.influence_graph().num_vertices();
-  // LT RIS always draws through the chunked engine streams (the engine
-  // runs inline for the default SamplingOptions) — same as
-  // LtRisEstimator::Build.
-  SamplingEngine engine(sampling);
-  std::vector<RrShard> shards = SampleLtRrShards(weights, seed, capacity,
-                                                 &engine,
-                                                 /*record_per_set=*/true);
-  const std::uint64_t actual =
-      sampling.cancel == nullptr
-          ? capacity
-          : TruncateCancelledShards(&shards, engine.chunk_size(), capacity);
-  arena.Finalize(std::move(shards), actual);
-  return arena;
-}
-
-RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
-                           std::uint64_t capacity,
-                           const SamplingOptions& sampling) {
-  SOLDIST_CHECK(instance.ig != nullptr);
-  if (instance.model == DiffusionModel::kLt) {
-    SOLDIST_CHECK(instance.lt_weights != nullptr)
-        << "LT instance without LtWeights";
-    return SampleLt(*instance.lt_weights, seed, capacity, sampling);
-  }
-  return SampleIc(*instance.ig, seed, capacity, sampling);
 }
 
 RrArena RrArena::FromParts(VertexId num_vertices,

@@ -9,10 +9,10 @@
 // first τ₁ sets of a τ₂-set build are byte-identical to a τ₁-set build;
 // the legacy sequential IC loop draws every set from one (target, coin)
 // stream pair, so its prefixes coincide trivially. The arena samples with
-// EXACTLY the stream discipline of RisEstimator::Build (IC) /
-// LtRisEstimator::Build (LT), which is what makes an arena-served sweep
-// cell byte-identical to a freshly sampled one (ctest rr_arena_test
-// enforces this for worker counts 1/2/4, both models).
+// EXACTLY the stream discipline of RisEstimator::Build (both models pick
+// their family through UseChunkedStreams), which is what makes an
+// arena-served sweep cell byte-identical to a freshly sampled one (ctest
+// rr_arena_test enforces this for worker counts 1/2/4, both models).
 //
 // Storage: the payload lives behind a pluggable store::RrStorage backend
 // (store/arena_storage.h). Arenas always SAMPLE into the flat layout —
@@ -72,25 +72,27 @@ class RrPrefixView;
 /// behind a store::RrStorage backend.
 class RrArena : public WorldArena {
  public:
-  /// Samples `capacity` IC RR sets with RisEstimator::Build's exact
-  /// stream discipline: the engine path (chunked deterministic streams)
-  /// when sampling.UseEngine(), the legacy sequential two-stream loop
-  /// otherwise. A fresh RisEstimator(ig, τ, seed, sampling) for any
-  /// τ <= capacity builds the byte-identical prefix of this arena.
-  static RrArena SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling);
-
-  /// LT counterpart (LtRisEstimator::Build discipline: always the chunked
-  /// engine streams, backward-walk RR sets).
-  static RrArena SampleLt(const LtWeights& weights, std::uint64_t seed,
-                          std::uint64_t capacity,
-                          const SamplingOptions& sampling);
-
-  /// Model dispatch on a resolved instance (LT requires lt_weights).
+  /// Samples `capacity` RR sets of `instance`'s model with
+  /// RisEstimator::Build's exact stream discipline: the chunked engine
+  /// streams when UseChunkedStreams(instance.model, sampling), the legacy
+  /// sequential two-stream IC loop otherwise. A fresh
+  /// RisEstimator(instance, τ, seed, sampling) for any τ <= capacity builds
+  /// the byte-identical prefix of this arena.
   static RrArena SampleFor(const ModelInstance& instance, std::uint64_t seed,
                            std::uint64_t capacity,
                            const SamplingOptions& sampling);
+
+  /// Per-model shorthands for SampleFor.
+  static RrArena SampleIc(const InfluenceGraph& ig, std::uint64_t seed,
+                          std::uint64_t capacity,
+                          const SamplingOptions& sampling) {
+    return SampleFor(ModelInstance::Ic(&ig), seed, capacity, sampling);
+  }
+  static RrArena SampleLt(const LtWeights& weights, std::uint64_t seed,
+                          std::uint64_t capacity,
+                          const SamplingOptions& sampling) {
+    return SampleFor(ModelInstance::Lt(&weights), seed, capacity, sampling);
+  }
 
   /// Rebuilds a FLAT arena from persisted parts (store/arena_io.h): the
   /// flat set array, per-set offsets, and per-set counter deltas. The

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "random/splitmix64.h"
+#include "sim/lt_samplers.h"
 
 namespace soldist {
 
@@ -55,16 +56,21 @@ void RrSampler::SampleForTarget(VertexId target, Rng* coin_rng,
   out->assign(queue, queue + tail);
 }
 
-std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
-                                    std::uint64_t master_seed,
-                                    std::uint64_t count,
-                                    SamplingEngine* engine,
-                                    bool record_per_set) {
+namespace {
+
+/// The one RR chunk driver; `Sampler` is the model's kernel (RrSampler or
+/// LtRrSampler), built from `source` once per worker slot.
+template <typename Sampler, typename Source>
+std::vector<RrShard> SampleRrShardsWith(const Source* source,
+                                        std::uint64_t master_seed,
+                                        std::uint64_t count,
+                                        SamplingEngine* engine,
+                                        bool record_per_set) {
   std::vector<RrShard> shards(engine->NumChunks(count));
   // Per-worker-slot samplers: the O(n) scratch is built at most once per
   // slot and reused across chunks; sampler scratch never affects output
   // (every chunk's randomness comes from its own derived streams).
-  std::vector<std::unique_ptr<RrSampler>> samplers(engine->num_workers());
+  std::vector<std::unique_ptr<Sampler>> samplers(engine->num_workers());
   // Per-slot running mean RR-set size: later chunks pre-reserve their
   // flat buffer instead of growing it through doubling reallocations.
   // Slot statistics are schedule-dependent scratch — they size capacity
@@ -85,7 +91,7 @@ std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
       return;
     }
     if (samplers[slot] == nullptr) {
-      samplers[slot] = std::make_unique<RrSampler>(&ig);
+      samplers[slot] = std::make_unique<Sampler>(source);
     }
     Rng target_rng(DeriveSeed(chunk.seed, 1));
     Rng coin_rng(DeriveSeed(chunk.seed, 2));
@@ -114,16 +120,7 @@ std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
       const TraversalCounters before = shard.counters;
       samplers[slot]->Sample(&target_rng, &coin_rng, &rr_set,
                              &shard.counters);
-      if (record_per_set) {
-        TraversalCounters delta;
-        delta.vertices = shard.counters.vertices - before.vertices;
-        delta.edges = shard.counters.edges - before.edges;
-        delta.sample_vertices =
-            shard.counters.sample_vertices - before.sample_vertices;
-        delta.sample_edges =
-            shard.counters.sample_edges - before.sample_edges;
-        shard.per_set.push_back(delta);
-      }
+      if (record_per_set) shard.per_set.push_back(shard.counters - before);
       shard.flat.insert(shard.flat.end(), rr_set.begin(), rr_set.end());
       shard.offsets.push_back(static_cast<std::uint64_t>(shard.flat.size()));
     }
@@ -131,6 +128,23 @@ std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
     st.entries += static_cast<std::uint64_t>(shard.flat.size());
   });
   return shards;
+}
+
+}  // namespace
+
+std::vector<RrShard> SampleRrShards(const ModelInstance& instance,
+                                    std::uint64_t master_seed,
+                                    std::uint64_t count,
+                                    SamplingEngine* engine,
+                                    bool record_per_set) {
+  if (instance.model == DiffusionModel::kLt) {
+    SOLDIST_CHECK(instance.lt_weights != nullptr)
+        << "LT instance without LtWeights";
+    return SampleRrShardsWith<LtRrSampler>(instance.lt_weights, master_seed,
+                                           count, engine, record_per_set);
+  }
+  return SampleRrShardsWith<RrSampler>(instance.ig, master_seed, count,
+                                       engine, record_per_set);
 }
 
 RrCollection::RrCollection(VertexId num_vertices)

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/traversal.h"
+#include "model/diffusion.h"
 #include "model/influence_graph.h"
 #include "random/rng.h"
 #include "sim/counters.h"
@@ -76,18 +77,29 @@ struct RrShard {
   }
 };
 
-/// Samples `count` RR sets through `engine`, one shard per chunk.
+/// Samples `count` RR sets of `instance`'s model (RrSampler under IC,
+/// LtRrSampler under LT) through `engine`, one shard per chunk.
 ///
 /// Chunk c derives its (target, coin) stream pair from the chunk seed
 /// DeriveSeed(master_seed, c), so the shard sequence — and therefore the
 /// merged collection — is byte-identical for any worker count.
 /// `record_per_set` additionally fills RrShard::per_set (never affects
 /// the sampled content: recording draws nothing from the streams).
-std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
+std::vector<RrShard> SampleRrShards(const ModelInstance& instance,
                                     std::uint64_t master_seed,
                                     std::uint64_t count,
                                     SamplingEngine* engine,
                                     bool record_per_set = false);
+
+/// IC shorthand for SampleRrShards(ModelInstance::Ic(&ig), ...).
+inline std::vector<RrShard> SampleRrShards(const InfluenceGraph& ig,
+                                           std::uint64_t master_seed,
+                                           std::uint64_t count,
+                                           SamplingEngine* engine,
+                                           bool record_per_set = false) {
+  return SampleRrShards(ModelInstance::Ic(&ig), master_seed, count, engine,
+                        record_per_set);
+}
 
 /// \brief A flattened collection of RR sets with an inverted index.
 ///

@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 
+#include "model/diffusion.h"
 #include "util/thread_pool.h"
 
 namespace soldist {
@@ -79,11 +80,13 @@ class CancelToken {
 
 /// \brief Sampling parallelism knob threaded through the estimator factory.
 struct SamplingOptions {
-  /// 1 (default): sampling stays on the calling thread through the legacy
-  /// single-stream loops — bit-identical to the pre-engine code. Any other
-  /// value routes sampling through SamplingEngine's chunked deterministic
-  /// streams: 0 = hardware concurrency, N >= 2 = N workers. A non-null
-  /// `pool` also selects the engine path (its width then caps parallelism).
+  /// Worker count: 1 (default) runs on the calling thread, 0 = hardware
+  /// concurrency, N >= 2 = N workers. Under IC the default also keeps the
+  /// legacy single-stream loops (bit-identical to the pre-engine code) and
+  /// any other value routes sampling through SamplingEngine's chunked
+  /// deterministic streams; a non-null `pool` selects the engine too (its
+  /// width then caps parallelism). LT always draws the chunked streams.
+  /// UseChunkedStreams below is that rule.
   int num_threads = 1;
 
   /// Samples per deterministic chunk. Smaller chunks balance load better;
@@ -105,6 +108,16 @@ struct SamplingOptions {
   /// True when sampling should route through SamplingEngine.
   bool UseEngine() const { return num_threads != 1 || pool != nullptr; }
 };
+
+/// The stream-family rule, stated once: draw the chunked engine streams
+/// when the model is LT (it has no legacy stream to keep) or
+/// `sampling.UseEngine()`; otherwise run the IC legacy sequential loop.
+/// Estimators, both arena kinds, TIM+/IMM and the serving cache key all
+/// ask this predicate, so the family behind an answer has one definition.
+inline bool UseChunkedStreams(DiffusionModel model,
+                              const SamplingOptions& sampling) {
+  return model == DiffusionModel::kLt || sampling.UseEngine();
+}
 
 /// \brief Fans chunked sampling work out across a thread pool.
 class SamplingEngine {

@@ -94,7 +94,7 @@ SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
   arena.snaps_.reserve(capacity);
   arena.counters_.Reserve(capacity);
   std::uint64_t actual = capacity;
-  if (sampling.UseEngine()) {
+  if (UseChunkedStreams(DiffusionModel::kIc, sampling)) {
     SamplingEngine engine(sampling);
     std::vector<CondensedSnapshotShard> shards = SampleCondensedSnapshotShards(
         ig, seed, capacity, &engine, /*record_per_snapshot=*/true);
@@ -142,12 +142,7 @@ SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
       }
       const TraversalCounters before = running;
       sampler.SampleInto(&rng, &running, &scratch);
-      TraversalCounters delta;
-      delta.vertices = running.vertices - before.vertices;
-      delta.edges = running.edges - before.edges;
-      delta.sample_vertices = running.sample_vertices - before.sample_vertices;
-      delta.sample_edges = running.sample_edges - before.sample_edges;
-      arena.counters_.Append(delta);
+      arena.counters_.Append(running - before);
       arena.snaps_.push_back(condenser.Condense(scratch));
     }
   }

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "random/splitmix64.h"
+#include "sim/lt_samplers.h"
 
 namespace soldist {
 
@@ -79,17 +80,22 @@ std::vector<VertexId> SnapshotSampler::ReachableSet(
   return queue_;
 }
 
-std::vector<SnapshotShard> SampleSnapshotShards(const InfluenceGraph& ig,
-                                                std::uint64_t master_seed,
-                                                std::uint64_t count,
-                                                SamplingEngine* engine) {
+namespace {
+
+/// The one snapshot chunk driver; `Sampler` is the model's kernel
+/// (SnapshotSampler or LtSnapshotSampler), built from `source` once per
+/// worker slot.
+template <typename Sampler, typename Source>
+std::vector<SnapshotShard> SampleSnapshotShardsWith(const Source* source,
+                                                    std::uint64_t master_seed,
+                                                    std::uint64_t count,
+                                                    SamplingEngine* engine) {
   std::vector<SnapshotShard> shards(engine->NumChunks(count));
-  std::vector<std::unique_ptr<SnapshotSampler>> samplers(
-      engine->num_workers());
+  std::vector<std::unique_ptr<Sampler>> samplers(engine->num_workers());
   engine->Run(master_seed, count,
               [&](const SamplingEngine::Chunk& chunk, std::size_t slot) {
     if (samplers[slot] == nullptr) {
-      samplers[slot] = std::make_unique<SnapshotSampler>(&ig);
+      samplers[slot] = std::make_unique<Sampler>(source);
     }
     Rng rng(DeriveSeed(chunk.seed, 1));
     SnapshotShard& shard = shards[chunk.index];
@@ -100,6 +106,22 @@ std::vector<SnapshotShard> SampleSnapshotShards(const InfluenceGraph& ig,
     }
   });
   return shards;
+}
+
+}  // namespace
+
+std::vector<SnapshotShard> SampleSnapshotShards(const ModelInstance& instance,
+                                                std::uint64_t master_seed,
+                                                std::uint64_t count,
+                                                SamplingEngine* engine) {
+  if (instance.model == DiffusionModel::kLt) {
+    SOLDIST_CHECK(instance.lt_weights != nullptr)
+        << "LT instance without LtWeights";
+    return SampleSnapshotShardsWith<LtSnapshotSampler>(
+        instance.lt_weights, master_seed, count, engine);
+  }
+  return SampleSnapshotShardsWith<SnapshotSampler>(instance.ig, master_seed,
+                                                   count, engine);
 }
 
 }  // namespace soldist

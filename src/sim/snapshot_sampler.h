@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/traversal.h"
+#include "model/diffusion.h"
 #include "model/influence_graph.h"
 #include "random/rng.h"
 #include "sim/counters.h"
@@ -77,13 +78,23 @@ struct SnapshotShard {
   TraversalCounters counters;
 };
 
-/// Samples `count` snapshots through `engine`, one shard per chunk; chunk
-/// c draws from a stream seeded with DeriveSeed(DeriveSeed(master_seed, c),
-/// 1), so the concatenation in shard order is worker-count-independent.
-std::vector<SnapshotShard> SampleSnapshotShards(const InfluenceGraph& ig,
+/// Samples `count` snapshots of `instance`'s model (SnapshotSampler under
+/// IC, LtSnapshotSampler under LT) through `engine`, one shard per chunk;
+/// chunk c draws from a stream seeded with DeriveSeed(DeriveSeed(
+/// master_seed, c), 1), so the concatenation in shard order is
+/// worker-count-independent.
+std::vector<SnapshotShard> SampleSnapshotShards(const ModelInstance& instance,
                                                 std::uint64_t master_seed,
                                                 std::uint64_t count,
                                                 SamplingEngine* engine);
+
+/// IC shorthand for SampleSnapshotShards(ModelInstance::Ic(&ig), ...).
+inline std::vector<SnapshotShard> SampleSnapshotShards(
+    const InfluenceGraph& ig, std::uint64_t master_seed, std::uint64_t count,
+    SamplingEngine* engine) {
+  return SampleSnapshotShards(ModelInstance::Ic(&ig), master_seed, count,
+                              engine);
+}
 
 }  // namespace soldist
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -15,6 +16,7 @@
 
 #include "store/fault_injection.h"
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace soldist {
 namespace store {
@@ -279,17 +281,6 @@ Status WriteManifest(const ArenaManifest& manifest, const std::string& dir) {
                           text.size());
 }
 
-bool ParseU64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (char ch : text) {
-    if (ch < '0' || ch > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  *out = value;
-  return true;
-}
-
 /// Checks the identity fields of a read manifest against the request.
 /// Capacity is a >= check: a bigger saved arena serves any smaller τ as
 /// a byte-identical prefix.
@@ -486,7 +477,9 @@ StatusOr<ArenaManifest> ReadArenaManifest(const std::string& dir) {
       manifest.workload = value;
     } else if (key == "stream") {
       manifest.stream = value;
-    } else if (ParseU64(value, &number)) {
+    } else if (ParseUint64(value, &number) &&
+               (key != "format_version" ||
+                number <= std::numeric_limits<std::uint32_t>::max())) {
       if (key == "format_version") {
         manifest.version = static_cast<std::uint32_t>(number);
       } else if (key == "seed") {

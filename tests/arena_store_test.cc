@@ -294,6 +294,55 @@ TEST(ArenaIoTest, WrongFormatVersionIsFailedPrecondition) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
 }
 
+/// Replaces the value of manifest line `key=` in a saved entry.
+void RewriteManifestValue(const std::string& dir, const std::string& key,
+                          const std::string& value) {
+  const std::string manifest_path = dir + "/manifest.txt";
+  std::string text;
+  {
+    std::ifstream in(manifest_path);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind(key + "=", 0) == 0) line = key + "=" + value;
+      text += line + "\n";
+    }
+  }
+  std::ofstream out(manifest_path, std::ios::trunc);
+  out << text;
+}
+
+// A numeric manifest field that does not fit its type is a malformed
+// manifest, never a wrapped value: 2^32 + 1 used to truncate to format
+// version 1 and 2^64 + 7 to seed 7, so both entries verified and loaded.
+TEST(ArenaIoTest, OutOfRangeFormatVersionIsMalformed) {
+  InfluenceGraph ig = KarateUc01();
+  RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
+  std::string dir = FreshDir("rr_version_overflow");
+  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 32), dir).ok());
+  RewriteManifestValue(dir, "format_version", "4294967297");
+  Status verify = store::VerifyArena(dir);
+  ASSERT_FALSE(verify.ok());
+  EXPECT_EQ(verify.code(), StatusCode::kIoError);
+  auto loaded = store::LoadRrArena(dir, RrManifest(7, "seq", 32));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
+TEST(ArenaIoTest, OverflowingSeedIsMalformed) {
+  InfluenceGraph ig = KarateUc01();
+  RrArena arena = RrArena::SampleIc(ig, 7, 32, Threads(1, 64));
+  std::string dir = FreshDir("rr_seed_overflow");
+  ASSERT_TRUE(store::SaveRrArena(arena, RrManifest(7, "seq", 32), dir).ok());
+  RewriteManifestValue(dir, "seed", "18446744073709551623");  // 2^64 + 7
+  Status verify = store::VerifyArena(dir);
+  ASSERT_FALSE(verify.ok());
+  EXPECT_EQ(verify.code(), StatusCode::kIoError);
+  auto loaded = store::LoadRrArena(dir, RrManifest(7, "seq", 32));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+}
+
 // ---------------------------------------------------------------------
 // Backend identity: compressed and mmap answer Solve / TopK / Spread
 // byte-identically to flat at every prefix cut.

@@ -11,7 +11,8 @@
 
 #include "core/factory.h"
 #include "core/greedy.h"
-#include "core/lt_estimators.h"
+#include "core/oneshot.h"
+#include "core/ris.h"
 #include "exp/trial_runner.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
@@ -19,7 +20,9 @@
 #include "model/probability.h"
 #include "sim/lt_forward_sim.h"
 #include "sim/lt_samplers.h"
+#include "sim/rr_arena.h"
 #include "sim/sampling_engine.h"
+#include "golden_digest.h"
 
 namespace soldist {
 namespace {
@@ -123,7 +126,8 @@ std::pair<std::vector<VertexId>, TraversalCounters> LtGreedyWith(
     const LtWeights& weights, Approach approach, std::uint64_t samples,
     const SamplingOptions& sampling, int k) {
   auto estimator =
-      MakeLtEstimator(&weights, approach, samples, /*seed=*/21, sampling);
+      MakeEstimator(ModelInstance::Lt(&weights), approach, samples,
+                    /*seed=*/21, SnapshotEstimator::Mode::kResidual, sampling);
   Rng tie_rng(123);
   GreedyRunResult run = RunGreedy(
       estimator.get(), weights.influence_graph().num_vertices(), k, &tie_rng);
@@ -158,7 +162,8 @@ TEST(LtSamplingEngineTest, UnifiedFactoryRoutesBothModels) {
   auto ic = MakeEstimator(ModelInstance::Ic(&ig), Approach::kRis, 64, 1);
   EXPECT_EQ(ic->name(), "RIS");
   // The unified overload must agree with the direct LT factory.
-  auto direct = MakeLtEstimator(&weights, Approach::kRis, 64, 1);
+  auto direct =
+      std::make_unique<RisEstimator>(ModelInstance::Lt(&weights), 64, 1);
   lt->Build();
   direct->Build();
   for (VertexId v = 0; v < 8; ++v) {
@@ -200,8 +205,8 @@ TEST(LtSamplingEngineTest, RunTrialsLtIdenticalAcrossSamplingModes) {
 TEST(LtSamplingEngineTest, OneshotEstimateSequenceIdentical) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  LtOneshotEstimator a(&weights, 256, 17, Sequential());
-  LtOneshotEstimator b(&weights, 256, 17, Threads(4));
+  OneshotEstimator a(ModelInstance::Lt(&weights), 256, 17, Sequential());
+  OneshotEstimator b(ModelInstance::Lt(&weights), 256, 17, Threads(4));
   a.Build();
   b.Build();
   for (VertexId v = 0; v < 8; ++v) {
@@ -211,6 +216,65 @@ TEST(LtSamplingEngineTest, OneshotEstimateSequenceIdentical) {
   b.Update(0);
   ASSERT_DOUBLE_EQ(a.Estimate(5), b.Estimate(5));
   ExpectCountersEq(a.counters(), b.counters());
+}
+
+// Golden digests (tests/golden_digest.h): absolute LT outputs of RunGreedy
+// for every approach and of every LT chunk driver. The comparisons above
+// only check worker counts against each other; these pin the streams.
+TEST(GoldenDigestTest, LtGreedyRuns) {
+  const golden::GreedyCase kCases[] = {
+      {"Karate", Approach::kOneshot, false, 0xd5d8c69086640f51ull},
+      {"Karate", Approach::kOneshot, true, 0x6c038d6473725061ull},
+      {"Karate", Approach::kSnapshot, false, 0xccd1e56a2df747a0ull},
+      {"Karate", Approach::kSnapshot, true, 0x6bcd59dbcea7e7e3ull},
+      {"Karate", Approach::kRis, false, 0xdb1cae03eb3e6eaaull},
+      {"Karate", Approach::kRis, true, 0x2bc8e06b52d65290ull},
+      {"Physicians", Approach::kOneshot, false, 0xbf8b2babded06539ull},
+      {"Physicians", Approach::kOneshot, true, 0xc31e17fe8da14630ull},
+      {"Physicians", Approach::kSnapshot, false, 0x395cd93e0da517beull},
+      {"Physicians", Approach::kSnapshot, true, 0x597bc0f13ad010d0ull},
+      {"Physicians", Approach::kRis, false, 0x3980deb1afb9b518ull},
+      {"Physicians", Approach::kRis, true, 0x5a606069e8b97922ull},
+  };
+  for (const golden::GreedyCase& c : kCases) {
+    InfluenceGraph ig = golden::Network(c.network);
+    LtWeights weights(&ig);
+    const std::uint64_t digest = golden::GreedyRunDigest(
+        ModelInstance::Lt(&weights), c.approach, c.threaded);
+    EXPECT_EQ(digest, c.digest) << golden::CaseLine(c, digest);
+  }
+}
+
+TEST(GoldenDigestTest, LtChunkDrivers) {
+  InfluenceGraph ig = golden::Network("Physicians");
+  LtWeights weights(&ig);
+  SamplingEngine engine(Threads(4, 64));
+  const std::uint64_t rr =
+      golden::RrShardsDigest(SampleLtRrShards(weights, 5, 1000, &engine));
+  EXPECT_EQ(rr, 0x11960b890ffcd047ull)
+      << "SampleLtRrShards " << golden::Hex(rr);
+  const std::uint64_t snapshots = golden::SnapshotShardsDigest(
+      SampleLtSnapshotShards(weights, 9, 200, &engine));
+  EXPECT_EQ(snapshots, 0xad5253a81cbd665cull)
+      << "SampleLtSnapshotShards " << golden::Hex(snapshots);
+  const std::vector<VertexId> seeds = {0, 7, 40};
+  TraversalCounters counters;
+  const double mean =
+      EstimateLtInfluenceSharded(ig, seeds, 3000, 13, &engine, &counters);
+  const std::uint64_t forward = golden::ForwardDigest(mean, counters);
+  EXPECT_EQ(forward, 0x08bf5a00b403b83eull)
+      << "EstimateLtInfluenceSharded " << golden::Hex(forward);
+  for (bool threaded : {false, true}) {
+    RrArena arena =
+        RrArena::SampleLt(weights, 17, 1500, golden::Sampling(threaded));
+    const std::uint64_t digest = golden::MixCounters(
+        arena.PrefixCounters(arena.capacity()),
+        golden::Mix(arena.ContentChecksum(), golden::kBasis));
+    EXPECT_EQ(digest,
+              threaded ? 0x634d7419d6a8dc1cull : 0x2da3da5da3ca8bb2ull)
+        << "RrArena::SampleLt threaded=" << threaded << " "
+        << golden::Hex(digest);
+  }
 }
 
 }  // namespace

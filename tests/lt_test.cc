@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.h"
 #include "core/greedy.h"
-#include "core/lt_estimators.h"
+#include "core/ris.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/lt.h"
@@ -222,7 +223,8 @@ TEST(LtEstimatorsTest, AllThreeUnbiasedOnDiamond) {
   LtWeights weights(&ig);
   for (Approach approach :
        {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
-    auto estimator = MakeLtEstimator(&weights, approach, 100000, 11);
+    auto estimator =
+        MakeEstimator(ModelInstance::Lt(&weights), approach, 100000, 11);
     estimator->Build();
     EXPECT_NEAR(estimator->Estimate(0), kDiamondLtInfluence, 0.03)
         << ApproachName(approach);
@@ -237,7 +239,8 @@ TEST(LtEstimatorsTest, GreedyRunsAndConvergesAcrossApproaches) {
        {Approach::kOneshot, Approach::kSnapshot, Approach::kRis}) {
     std::uint64_t sample_number =
         approach == Approach::kRis ? (1 << 15) : (1 << 11);
-    auto estimator = MakeLtEstimator(&weights, approach, sample_number, 12);
+    auto estimator = MakeEstimator(ModelInstance::Lt(&weights), approach,
+                                   sample_number, 12);
     Rng tie_rng(13);
     auto result = RunGreedy(estimator.get(), ig.num_vertices(), 1, &tie_rng);
     seeds[approach] = result.SortedSeedSet();
@@ -251,7 +254,7 @@ TEST(LtEstimatorsTest, GreedyRunsAndConvergesAcrossApproaches) {
 TEST(LtEstimatorsTest, SnapshotMarginalsShrink) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  LtSnapshotEstimator estimator(&weights, 64, 14);
+  SnapshotEstimator estimator(ModelInstance::Lt(&weights), 64, 14);
   estimator.Build();
   std::vector<double> before(ig.num_vertices());
   for (VertexId v = 0; v < ig.num_vertices(); ++v) {
@@ -266,7 +269,7 @@ TEST(LtEstimatorsTest, SnapshotMarginalsShrink) {
 TEST(LtEstimatorsTest, RisUpdateZeroesCoveredSeed) {
   InfluenceGraph ig = KarateIwc();
   LtWeights weights(&ig);
-  LtRisEstimator estimator(&weights, 2048, 15);
+  RisEstimator estimator(ModelInstance::Lt(&weights), 2048, 15);
   estimator.Build();
   estimator.Update(33);
   EXPECT_DOUBLE_EQ(estimator.Estimate(33), 0.0);
@@ -275,9 +278,10 @@ TEST(LtEstimatorsTest, RisUpdateZeroesCoveredSeed) {
 TEST(LtEstimatorsTest, NamesAndFlags) {
   InfluenceGraph ig = DiamondLt();
   LtWeights weights(&ig);
-  auto oneshot = MakeLtEstimator(&weights, Approach::kOneshot, 4, 1);
-  auto snapshot = MakeLtEstimator(&weights, Approach::kSnapshot, 4, 1);
-  auto ris = MakeLtEstimator(&weights, Approach::kRis, 4, 1);
+  const ModelInstance lt = ModelInstance::Lt(&weights);
+  auto oneshot = MakeEstimator(lt, Approach::kOneshot, 4, 1);
+  auto snapshot = MakeEstimator(lt, Approach::kSnapshot, 4, 1);
+  auto ris = MakeEstimator(lt, Approach::kRis, 4, 1);
   EXPECT_EQ(oneshot->name(), "LT-Oneshot");
   EXPECT_FALSE(oneshot->EstimatesAreMarginal());
   EXPECT_EQ(snapshot->name(), "LT-Snapshot");

@@ -18,6 +18,7 @@
 
 #include "api/session.h"
 #include "api/spec.h"
+#include "core/factory.h"
 #include "core/ris.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
@@ -80,6 +81,36 @@ TEST(QueryServiceTest, SpreadMatchesFreshRisEstimator) {
     const VertexId seeds[] = {v};
     EXPECT_DOUBLE_EQ(view.value().Spread(seeds), estimator.Estimate(v))
         << "vertex " << v;
+  }
+}
+
+// LT draws the chunked streams even at one worker, so the chunk size
+// selects its RR sets and must be part of the cache key: a chunk-64
+// arena once answered a later chunk-256 request for the same workload
+// (both were keyed "#seq").
+TEST(QueryServiceTest, LtChunkSizeSelectsItsOwnArena) {
+  api::Session session;
+  serve::QueryService service(&session);
+  const api::WorkloadSpec karate_lt =
+      api::WorkloadSpec::Dataset("Karate").Diffusion(DiffusionModel::kLt);
+  auto instance = session.ResolveWorkload(karate_lt);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  for (std::uint64_t chunk_size : {64u, 256u}) {
+    serve::QuerySpec spec = SpecAt(kTau);
+    spec.chunk_size = chunk_size;
+    auto view = service.View(karate_lt, spec);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    SamplingOptions sampling;
+    sampling.chunk_size = chunk_size;
+    auto estimator =
+        MakeEstimator(instance.value(), Approach::kRis, kTau, kSeed,
+                      SnapshotEstimator::Mode::kResidual, sampling);
+    estimator->Build();
+    for (VertexId v = 0; v < view.value().num_vertices(); ++v) {
+      const VertexId seeds[] = {v};
+      EXPECT_DOUBLE_EQ(view.value().Spread(seeds), estimator->Estimate(v))
+          << "chunk " << chunk_size << " vertex " << v;
+    }
   }
 }
 

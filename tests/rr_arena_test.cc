@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "core/greedy.h"
-#include "core/lt_estimators.h"
 #include "core/ris.h"
 #include "gen/datasets.h"
 #include "graph/builder.h"
 #include "model/probability.h"
 #include "random/splitmix64.h"
+#include "sim/lt_samplers.h"
 #include "sim/max_coverage.h"
 #include "sim/rr_arena.h"
 #include "sim/sampling_engine.h"
@@ -194,7 +194,7 @@ TEST(RrArenaTest, ArenaRisEstimatorMatchesLtRisEstimatorThroughGreedy) {
     SamplingOptions sampling = Threads(threads, 64);
     RrArena arena = RrArena::SampleLt(weights, 13, capacity, sampling);
     for (std::uint64_t tau : {32u, 300u}) {
-      LtRisEstimator fresh(&weights, tau, 13, sampling);
+      RisEstimator fresh(ModelInstance::Lt(&weights), tau, 13, sampling);
       ArenaRisEstimator reused(&arena, tau);
       Rng tie_a(88), tie_b(88);
       GreedyRunResult a = RunGreedy(&fresh, ig.num_vertices(), 3, &tie_a);

@@ -20,8 +20,12 @@
 #include "graph/builder.h"
 #include "model/probability.h"
 #include "random/splitmix64.h"
+#include "sim/forward_sim.h"
+#include "sim/rr_arena.h"
 #include "sim/rr_sampler.h"
 #include "sim/sampling_engine.h"
+#include "sim/snapshot_sampler.h"
+#include "golden_digest.h"
 
 namespace soldist {
 namespace {
@@ -331,6 +335,64 @@ TEST(RisEstimatorTest, ChosenSeedScoresZeroOnEnginePath) {
   EXPECT_GT(before, 0.0);
   estimator.Update(0);
   EXPECT_DOUBLE_EQ(estimator.Estimate(0), 0.0);
+}
+
+// Golden digests (tests/golden_digest.h): absolute IC outputs of RunGreedy
+// for every approach and of every chunk driver, so a refactor that keeps
+// the 1-vs-N-thread comparisons above green but moves a draw still fails.
+TEST(GoldenDigestTest, IcGreedyRuns) {
+  const golden::GreedyCase kCases[] = {
+      {"Karate", Approach::kOneshot, false, 0xf51c679905a89d0aull},
+      {"Karate", Approach::kOneshot, true, 0x514c0ed98bab5711ull},
+      {"Karate", Approach::kSnapshot, false, 0xd10dcf0e55f939ccull},
+      {"Karate", Approach::kSnapshot, true, 0xc75128620eb0bfeeull},
+      {"Karate", Approach::kRis, false, 0x466c6be7af25d979ull},
+      {"Karate", Approach::kRis, true, 0x5dcb03b8bafa5405ull},
+      {"Physicians", Approach::kOneshot, false, 0x615592b2162b9324ull},
+      {"Physicians", Approach::kOneshot, true, 0x27acd8cf114a4e22ull},
+      {"Physicians", Approach::kSnapshot, false, 0xb81613103891e4fcull},
+      {"Physicians", Approach::kSnapshot, true, 0x0058810cfbc5151dull},
+      {"Physicians", Approach::kRis, false, 0x47a211512de27658ull},
+      {"Physicians", Approach::kRis, true, 0x4587eadb43e8b809ull},
+  };
+  for (const golden::GreedyCase& c : kCases) {
+    InfluenceGraph ig = golden::Network(c.network);
+    const std::uint64_t digest =
+        golden::GreedyRunDigest(ModelInstance::Ic(&ig), c.approach,
+                                c.threaded);
+    EXPECT_EQ(digest, c.digest) << golden::CaseLine(c, digest);
+  }
+}
+
+TEST(GoldenDigestTest, IcChunkDrivers) {
+  InfluenceGraph ig = golden::Network("Physicians");
+  SamplingEngine engine(FourThreadEngine(64));
+  const std::uint64_t rr =
+      golden::RrShardsDigest(SampleRrShards(ig, 5, 1000, &engine));
+  EXPECT_EQ(rr, 0xeab8928c565600d0ull)
+      << "SampleRrShards " << golden::Hex(rr);
+  const std::uint64_t snapshots = golden::SnapshotShardsDigest(
+      SampleSnapshotShards(ig, 9, 200, &engine));
+  EXPECT_EQ(snapshots, 0x4204c7e6f7ac631cull)
+      << "SampleSnapshotShards " << golden::Hex(snapshots);
+  const std::vector<VertexId> seeds = {0, 7, 40};
+  TraversalCounters counters;
+  const double mean =
+      EstimateInfluenceSharded(ig, seeds, 3000, 13, &engine, &counters);
+  const std::uint64_t forward = golden::ForwardDigest(mean, counters);
+  EXPECT_EQ(forward, 0x52a3395ecdde04adull)
+      << "EstimateInfluenceSharded " << golden::Hex(forward);
+  for (bool threaded : {false, true}) {
+    RrArena arena =
+        RrArena::SampleIc(ig, 17, 1500, golden::Sampling(threaded));
+    const std::uint64_t digest = golden::MixCounters(
+        arena.PrefixCounters(arena.capacity()),
+        golden::Mix(arena.ContentChecksum(), golden::kBasis));
+    EXPECT_EQ(digest,
+              threaded ? 0xd1fe400419df3aa0ull : 0xa346cfded91309f7ull)
+        << "RrArena::SampleIc threaded=" << threaded << " "
+        << golden::Hex(digest);
+  }
 }
 
 }  // namespace
