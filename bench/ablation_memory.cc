@@ -1,12 +1,11 @@
-// Memory ablation: RR-set compression (paper Section 7's space-reduction
-// direction). Samples θ RR sets per instance and compares the plain
-// RrCollection layout against the delta+varint CompressedRrCollection,
-// verifying query equivalence as it goes.
+// Memory ablation (paper Section 7's space-reduction direction): the
+// Snapshot estimator's residual vs condensed storage, and one sampled
+// RrArena held through each store/ backend — flat vs delta+varint
+// compressed vs mmap-spill resident bytes.
 
 #include "bench_common.h"
 #include "core/snapshot.h"
 #include "sim/rr_arena.h"
-#include "sim/rr_sampler.h"
 #include "store/arena_storage.h"
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -16,15 +15,15 @@ namespace {
 
 int Run(int argc, const char* const* argv) {
   ArgParser args("ablation_memory",
-                 "RR-set compression ablation: plain vs delta+varint "
-                 "storage (paper Section 7 future-work direction).");
+                 "Memory ablation: residual vs condensed Snapshot storage "
+                 "and flat vs compressed RR arenas (paper Section 7 "
+                 "future-work direction).");
   AddExperimentFlags(&args);
-  args.AddInt64("theta", 1 << 16, "RR sets per instance");
   args.AddInt64("snapshot-tau", 512,
                 "snapshots per estimator in the Snapshot-storage section");
   args.AddInt64("arena-theta", 2048,
                 "RR sets per arena in the storage-backend section (kept "
-                "below --theta: uc0.1 percolates the denser networks)");
+                "small: uc0.1 percolates the denser networks)");
   args.AddString("networks", "Karate,Physicians,ca-GrQc,Wiki-Vote,BA_d",
                  "networks to run");
   int exit_code = 0;
@@ -33,69 +32,9 @@ int Run(int argc, const char* const* argv) {
     return exit_code;
   }
   RequireIcModel(options, "ablation_memory");
-  PrintBanner("RR-set compression ablation", options);
+  PrintBanner("Memory ablation", options);
 
   ExperimentContext context(options);
-  auto theta = static_cast<std::uint64_t>(args.GetInt64("theta"));
-  TextTable table({"network", "setting", "θ", "entries", "plain bytes",
-                   "compressed bytes", "ratio", "bytes/entry"});
-  CsvWriter csv({"network", "setting", "theta", "entries", "plain_bytes",
-                 "compressed_bytes"});
-
-  for (const std::string& network : Split(args.GetString("networks"), ',')) {
-    for (ProbabilityModel model :
-         {ProbabilityModel::kUc001, ProbabilityModel::kIwc}) {
-      const InfluenceGraph& ig = context.Instance(network, model);
-      RrSampler sampler(&ig);
-      Rng target_rng(options.seed), coin_rng(options.seed + 1);
-      TraversalCounters counters;
-      RrCollection plain(ig.num_vertices());
-      CompressedRrCollection compressed(ig.num_vertices());
-      std::vector<VertexId> rr_set;
-      for (std::uint64_t i = 0; i < theta; ++i) {
-        sampler.Sample(&target_rng, &coin_rng, &rr_set, &counters);
-        plain.Add(rr_set);
-        compressed.Add(rr_set);
-      }
-      plain.BuildIndex();
-      compressed.BuildIndex();
-
-      // Query equivalence spot check: this ablation must not trade
-      // correctness for bytes.
-      Rng query_rng(options.seed + 2);
-      for (int q = 0; q < 50; ++q) {
-        std::vector<VertexId> seeds{
-            static_cast<VertexId>(query_rng.UniformInt(ig.num_vertices()))};
-        SOLDIST_CHECK(plain.CountCovered(seeds) ==
-                      compressed.CountCovered(seeds));
-      }
-
-      std::uint64_t plain_bytes = compressed.UncompressedBytes();
-      std::uint64_t compressed_bytes = compressed.MemoryBytes();
-      table.AddRow(
-          {network, ProbabilityModelName(model), FormatPowerOfTwo(theta),
-           WithThousands(compressed.total_entries()),
-           WithThousands(plain_bytes), WithThousands(compressed_bytes),
-           FormatDouble(static_cast<double>(compressed_bytes) /
-                            static_cast<double>(plain_bytes),
-                        3),
-           FormatDouble(static_cast<double>(compressed_bytes) /
-                            std::max<std::uint64_t>(
-                                1, compressed.total_entries()),
-                        2)});
-      csv.Row()
-          .Str(network)
-          .Str(ProbabilityModelName(model))
-          .UInt(theta)
-          .UInt(compressed.total_entries())
-          .UInt(plain_bytes)
-          .UInt(compressed_bytes)
-          .Done();
-    }
-  }
-  PrintTable("RR-set storage: plain (4 B/set entry + 4 B/index entry) vs "
-             "delta+varint compressed",
-             table);
 
   // Snapshot estimator storage: full live-edge CSRs + O(n·τ) removal
   // bitmap (residual) vs SCC DAGs with component-granular state
@@ -139,15 +78,17 @@ int Run(int argc, const char* const* argv) {
 
   // Arena storage backends (store/): ONE sampled RrArena held through
   // each backend. The flat column is today's zero-copy layout; the
-  // compressed column is the delta+varint promotion of the section-1
-  // encoding to a queryable backend; the mmap column reports RESIDENT
-  // bytes (offsets + hot chunks), the number the serve-layer cache
-  // budget actually charges. Every backend answers byte-identically, so
-  // the columns are a pure memory trade.
+  // compressed column holds sets and index delta+varint coded behind the
+  // same query API; the mmap column reports RESIDENT bytes (offsets +
+  // hot chunks), the number the serve-layer cache budget actually
+  // charges. Every backend answers byte-identically, so the columns are
+  // a pure memory trade.
   auto arena_theta =
       static_cast<std::uint64_t>(args.GetInt64("arena-theta"));
   TextTable backend_table({"network", "setting", "θ", "flat bytes",
                            "compressed bytes", "ratio", "mmap resident"});
+  CsvWriter csv({"network", "setting", "theta", "flat_bytes",
+                 "compressed_bytes", "mmap_resident_bytes"});
   for (const std::string& network : Split(args.GetString("networks"), ',')) {
     for (ProbabilityModel model :
          {ProbabilityModel::kUc01, ProbabilityModel::kIwc}) {
@@ -175,6 +116,14 @@ int Run(int argc, const char* const* argv) {
                                 1, compressed_bytes)),
                         3),
            WithThousands(mapped.ResidentBytes())});
+      csv.Row()
+          .Str(network)
+          .Str(ProbabilityModelName(model))
+          .UInt(arena_theta)
+          .UInt(flat_bytes)
+          .UInt(compressed_bytes)
+          .UInt(mapped.ResidentBytes())
+          .Done();
     }
   }
   PrintTable("Arena storage backends (store/): flat vs delta+varint "

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <memory>
-#include <numeric>
 
 #include "graph/traversal.h"
-#include "random/splitmix64.h"
 #include "sim/condensed_snapshot.h"
 #include "sim/snapshot_arena.h"
 
@@ -20,47 +18,16 @@ std::uint64_t VecBytes(const Vec& v) {
 
 }  // namespace
 
-/// \brief Per-mode reachability backend. Build consumes the SAME sampler
-/// streams in every mode, so backends differ only in how (and how fast)
-/// they answer reachability — never in what they answer.
-class SnapshotEstimator::Backend {
- public:
-  virtual ~Backend() = default;
-  virtual void Build() = 0;
-  /// (1/τ) Σ_i r_i(residual, v).
-  virtual double Estimate(VertexId v) = 0;
-  /// out[j] = Estimate(candidates[j]) with the same counters. The
-  /// condensed backend batches the round world-major; the full backends
-  /// keep this per-vertex loop.
-  virtual void EstimateAll(std::span<const VertexId> candidates,
-                           std::span<double> out) {
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      out[j] = Estimate(candidates[j]);
-    }
-  }
-  virtual void Update(VertexId v) = 0;
-  /// (1/τ) Σ_i bound_i(v); only the condensed backend implements it.
-  virtual double InitialBound(VertexId v) {
-    (void)v;
-    SOLDIST_CHECK(false) << "backend has no initial bounds";
-    return 0.0;
-  }
-  virtual std::uint64_t MemoryBytes() const = 0;
-};
-
-namespace {
-
 /// kNaive / kResidual: the pre-condensation code, verbatim — full
 /// snapshots in CSR form, per-candidate BFS on the (residual) live-edge
 /// graphs. The only backend LT runs (kNaive): reachability on a sampled
 /// live-edge graph is model-agnostic, so only the sampling kernel
 /// differs.
-class FullSnapshotBackend : public SnapshotEstimator::Backend {
+class SnapshotEstimator::FullBackend {
  public:
-  FullSnapshotBackend(const ModelInstance& instance, std::uint64_t tau,
-                      std::uint64_t seed, SnapshotEstimator::Mode mode,
-                      const SamplingOptions& sampling,
-                      TraversalCounters* counters)
+  FullBackend(const ModelInstance& instance, std::uint64_t tau,
+              std::uint64_t seed, SnapshotEstimator::Mode mode,
+              const SamplingOptions& sampling, TraversalCounters* counters)
       : instance_(instance),
         tau_(tau),
         seed_(seed),
@@ -72,7 +39,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
     queue_.reserve(instance.ig->num_vertices());
   }
 
-  void Build() override {
+  void Build() {
     snapshots_.reserve(tau_);
     if (UseChunkedStreams(instance_.model, sampling_)) {
       SamplingEngine engine(sampling_);
@@ -98,7 +65,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
     }
   }
 
-  double Estimate(VertexId v) override {
+  double Estimate(VertexId v) {
     std::uint64_t total = 0;
     if (mode_ == SnapshotEstimator::Mode::kNaive) {
       scratch_.assign(seeds_.begin(), seeds_.end());
@@ -117,7 +84,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
     return static_cast<double>(total) / static_cast<double>(tau_);
   }
 
-  void Update(VertexId v) override {
+  void Update(VertexId v) {
     seeds_.push_back(v);
     if (mode_ == SnapshotEstimator::Mode::kNaive) {
       for (std::size_t i = 0; i < snapshots_.size(); ++i) {
@@ -132,7 +99,7 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
     }
   }
 
-  std::uint64_t MemoryBytes() const override {
+  std::uint64_t MemoryBytes() const {
     std::uint64_t bytes = VecBytes(base_reach_) + VecBytes(removed_) +
                           VecBytes(seeds_) + VecBytes(queue_) +
                           VecBytes(scratch_) +
@@ -198,27 +165,49 @@ class FullSnapshotBackend : public SnapshotEstimator::Backend {
   std::vector<VertexId> scratch_;
 };
 
-/// \brief The condensed incremental-gain engine, shared by the fresh
-/// kCondensed backend (which owns its worlds) and ArenaSnapshotEstimator
-/// (which borrows a SnapshotArena prefix). Init consumes worlds +
-/// precomputed warmth (sim/snapshot_arena.h); the gains are maintained
-/// incrementally (see CondensedBackend for the exactness argument).
+/// \brief The condensed incremental-gain engine behind every condensed
+/// Snapshot estimator: ArenaSnapshotEstimator serves it a SnapshotArena
+/// prefix, and a fresh kCondensed SnapshotEstimator serves it the arena
+/// it sampled at capacity τ. Init consumes worlds + precomputed warmth
+/// (sim/snapshot_arena.h); the gains are maintained incrementally.
+///
+/// Exactness argument, component by component:
+///  * Condensation preserves reachability, so r_i(v) = Σ sizes of the
+///    DAG components reachable from comp(v).
+///  * Every set removed by Update is a reachability set — closed under
+///    successors and a union of whole components (reaching one member of
+///    an SCC reaches all of it). Hence "removed" is component-granular
+///    and successor-closed, and a residual walk may skip removed
+///    components without missing live ones (a live component reachable
+///    only through removed ones would itself be removed).
+///  * Gains are cached per (snapshot, component); Update invalidates a
+///    conservative superset of the stale entries — the live DAG
+///    *ancestors* of the newly removed components (precise reverse walk)
+///    or, when the removal is large, every entry of the snapshot (O(1)
+///    generation bump). Invalidation can only cause recomputation, never
+///    change a value.
 ///
 /// Init is deterministic and counter-free: the warm cache entries are a
 /// pure function of the worlds, so the same worlds + warmth always yield
-/// byte-identical state no matter who owns the worlds or how they were
-/// chunked. The caller keeps the worlds (comp_of included) alive for the
-/// core's lifetime; the warmth is read only during Init.
+/// byte-identical state no matter how they were chunked. The caller keeps
+/// the worlds (comp_of included) alive for the core's lifetime; the
+/// warmth is read only by Init and InitialBound, which take it as an
+/// argument.
 ///
-/// EstimateAll answers a whole greedy round world-major: per world it
-/// reads that world's comp_of, its contiguous CompState slice and its
-/// generation once, then visits every candidate. A round's removed set is
-/// fixed, so it recomputes exactly the stale (world, component) pairs the
-/// per-vertex loop would — same values, same component-granular
-/// counters. A single-vertex Estimate (CELF) is the one-candidate batch.
-class CondensedGainCore {
+/// Layout, tuned for the access pattern (τ up to 2^16 snapshots means
+/// every per-snapshot indirection in a per-vertex Estimate is a cache
+/// miss): EstimateAll answers a whole greedy round world-major — per
+/// world it reads that world's comp_of, its contiguous CompState slice
+/// and its generation once, then visits every candidate. A round's
+/// removed set is fixed, so it recomputes exactly the stale (world,
+/// component) pairs the per-vertex loop would — same values, same
+/// component-granular counters. Per-component state is one packed 8-byte
+/// {value, gen} record in a single flat array (removed = sentinel
+/// generation), so the state lookup is one cache line, not three. A
+/// single-vertex Estimate (CELF) is the one-candidate batch.
+class ArenaSnapshotEstimator::Core {
  public:
-  CondensedGainCore() : visited_(0) {}
+  Core() : visited_(0) {}
 
   /// Sizes the packed state and pre-seeds the gain cache from warmth's
   /// exact entries.
@@ -356,11 +345,29 @@ class CondensedGainCore {
     }
   }
 
+  /// (1/τ) Σ_i warmth[i].bound[comp_i(v)]. CELF asks every vertex once,
+  /// so the first call sums all n totals world-major — one pass over
+  /// each world's comp_of — instead of n scattered walks over τ worlds.
+  double InitialBound(VertexId v, std::span<const SnapshotWarmth> warmth) {
+    if (bound_total_.empty()) {
+      const std::size_t n = snaps_[0].comp_of.size();
+      bound_total_.assign(n, 0);
+      for (std::size_t i = 0; i < snaps_.size(); ++i) {
+        const std::uint32_t* comp_of = snaps_[i].comp_of.data();
+        const std::uint32_t* bound = warmth[i].bound.data();
+        for (std::size_t u = 0; u < n; ++u) {
+          bound_total_[u] += bound[comp_of[u]];
+        }
+      }
+    }
+    return static_cast<double>(bound_total_[v]) / static_cast<double>(tau_);
+  }
+
   /// Bookkeeping bytes only — the worlds belong to the caller.
   std::uint64_t MemoryBytes() const {
     return VecBytes(queue_) + VecBytes(rqueue_) + VecBytes(state_) +
            VecBytes(state_offset_) + VecBytes(generation_) +
-           VecBytes(live_) +
+           VecBytes(live_) + VecBytes(bound_total_) +
            static_cast<std::uint64_t>(visited_.size()) * 4;
   }
 
@@ -412,117 +419,8 @@ class CondensedGainCore {
   VisitedMarker visited_;                   // component ids, max-C sized
   std::vector<std::uint32_t> queue_;
   std::vector<std::uint32_t> rqueue_;
+  std::vector<std::uint64_t> bound_total_;  // per vertex; CELF only
 };
-
-/// kCondensed: SCC DAGs with incrementally maintained marginal gains.
-///
-/// Exactness argument, component by component:
-///  * Condensation preserves reachability, so r_i(v) = Σ sizes of the
-///    DAG components reachable from comp(v).
-///  * Every set removed by Update is a reachability set — closed under
-///    successors and a union of whole components (reaching one member of
-///    an SCC reaches all of it). Hence "removed" is component-granular
-///    and successor-closed, and a residual walk may skip removed
-///    components without missing live ones (a live component reachable
-///    only through removed ones would itself be removed).
-///  * Gains are cached per (snapshot, component); Update invalidates a
-///    conservative superset of the stale entries — the live DAG
-///    *ancestors* of the newly removed components (precise reverse walk)
-///    or, when the removal is large, every entry of the snapshot (O(1)
-///    generation bump). Invalidation can only cause recomputation, never
-///    change a value.
-///
-/// Layout, tuned for the access pattern (τ up to 2^16 snapshots means
-/// every per-snapshot indirection in a per-vertex Estimate is a cache
-/// miss): a greedy round is answered world-major, one pass over each
-/// world's comp_of and state slice (see CondensedGainCore); per-component
-/// state is one packed 8-byte {value, gen} record in a single flat array
-/// (removed = sentinel generation), so the state lookup is one cache
-/// line, not three.
-class CondensedBackend : public SnapshotEstimator::Backend {
- public:
-  CondensedBackend(const InfluenceGraph* ig, std::uint64_t tau,
-                   std::uint64_t seed, const SamplingOptions& sampling,
-                   TraversalCounters* counters)
-      : ig_(ig),
-        tau_(tau),
-        seed_(seed),
-        sampling_(sampling),
-        counters_(counters) {}
-
-  void Build() override {
-    snaps_.reserve(tau_);
-    if (UseChunkedStreams(DiffusionModel::kIc, sampling_)) {
-      SamplingEngine engine(sampling_);
-      std::vector<CondensedSnapshotShard> shards =
-          SampleCondensedSnapshotShards(*ig_, seed_, tau_, &engine);
-      for (CondensedSnapshotShard& shard : shards) {
-        *counters_ += shard.counters;
-        for (CondensedSnapshot& snap : shard.snapshots) {
-          snaps_.push_back(std::move(snap));
-        }
-      }
-    } else {
-      // Legacy single-stream path: same snapshot stream as kResidual,
-      // condensed one at a time so the raw CSR never accumulates.
-      Rng rng(seed_);
-      SnapshotSampler sampler(ig_);
-      SnapshotCondenser condenser(ig_->num_vertices());
-      Snapshot scratch;
-      for (std::uint64_t i = 0; i < tau_; ++i) {
-        sampler.SampleInto(&rng, counters_, &scratch);
-        snaps_.push_back(condenser.Condense(scratch));
-      }
-    }
-    // Warmth (sketch exact counts + CELF bounds) is a pure function of
-    // each snapshot — the permutation stream below only orders the
-    // sketch internals, never the results — so this matches a
-    // SnapshotArena's precomputed warmth byte for byte.
-    const VertexId n = ig_->num_vertices();
-    const std::vector<SnapshotWarmth> warmth = ComputeSnapshotWarmth(
-        snaps_, n, DeriveSeed(seed_, tau_ + 1), sampling_);
-    core_.Init(snaps_, warmth, counters_);
-    // CELF's per-vertex bound totals, summed world-major; the warmth
-    // itself is not kept.
-    bound_total_.assign(n, 0);
-    for (std::size_t i = 0; i < snaps_.size(); ++i) {
-      const std::uint32_t* comp_of = snaps_[i].comp_of.data();
-      const std::uint32_t* bound = warmth[i].bound.data();
-      for (VertexId v = 0; v < n; ++v) bound_total_[v] += bound[comp_of[v]];
-    }
-  }
-
-  double Estimate(VertexId v) override { return core_.Estimate(v); }
-
-  void EstimateAll(std::span<const VertexId> candidates,
-                   std::span<double> out) override {
-    core_.EstimateAll(candidates, out);
-  }
-
-  void Update(VertexId v) override { core_.Update(v); }
-
-  double InitialBound(VertexId v) override {
-    return static_cast<double>(bound_total_[v]) / static_cast<double>(tau_);
-  }
-
-  std::uint64_t MemoryBytes() const override {
-    std::uint64_t bytes = core_.MemoryBytes() + VecBytes(bound_total_);
-    for (const CondensedSnapshot& snap : snaps_) bytes += snap.MemoryBytes();
-    return bytes;
-  }
-
- private:
-  const InfluenceGraph* ig_;
-  std::uint64_t tau_;
-  std::uint64_t seed_;
-  SamplingOptions sampling_;
-  TraversalCounters* counters_;
-  std::vector<CondensedSnapshot> snaps_;
-  std::vector<std::uint64_t> bound_total_;  // per vertex, Σ_i bound_i
-  CondensedGainCore core_;
-};
-
-}  // namespace
 
 SnapshotEstimator::SnapshotEstimator(const ModelInstance& instance,
                                      std::uint64_t tau, std::uint64_t seed,
@@ -542,51 +440,62 @@ SnapshotEstimator::~SnapshotEstimator() = default;
 void SnapshotEstimator::Build() {
   SOLDIST_CHECK(!built_) << "Build() must be called exactly once";
   built_ = true;
-  // Scratch and residual state are owned (and sized) by the mode's
-  // backend: the condensed backend keeps component-granular state only
-  // and never allocates the O(n)-per-snapshot arrays of the full modes.
   if (mode_ == Mode::kCondensed) {
-    backend_ = std::make_unique<CondensedBackend>(
-        instance_.ig, tau_, seed_, sampling_, &counters_);
-  } else {
-    backend_ = std::make_unique<FullSnapshotBackend>(
-        instance_, tau_, seed_, mode_, sampling_, &counters_);
+    // An arena at capacity τ samples, condenses and warms with exactly
+    // this estimator's stream discipline, so serving its whole prefix IS
+    // the fresh condensed estimator. Only component-granular state is
+    // allocated, never the O(n)-per-snapshot arrays of the full modes.
+    arena_ = std::make_unique<SnapshotArena>(
+        SnapshotArena::Sample(*instance_.ig, seed_, tau_, sampling_));
+    condensed_ = std::make_unique<ArenaSnapshotEstimator>(arena_.get(), tau_);
+    condensed_->Build();
+    return;
   }
-  backend_->Build();
+  full_ = std::make_unique<FullBackend>(instance_, tau_, seed_, mode_,
+                                        sampling_, &counters_);
+  full_->Build();
 }
 
 double SnapshotEstimator::Estimate(VertexId v) {
   SOLDIST_CHECK(built_);
-  return backend_->Estimate(v);
+  return condensed_ != nullptr ? condensed_->Estimate(v) : full_->Estimate(v);
 }
 
 void SnapshotEstimator::EstimateAll(std::span<const VertexId> candidates,
                                     std::span<double> out) {
   SOLDIST_CHECK(built_);
-  backend_->EstimateAll(candidates, out);
+  if (condensed_ != nullptr) {
+    condensed_->EstimateAll(candidates, out);
+  } else {
+    InfluenceEstimator::EstimateAll(candidates, out);
+  }
 }
 
 void SnapshotEstimator::Update(VertexId v) {
   SOLDIST_CHECK(built_);
-  backend_->Update(v);
+  if (condensed_ != nullptr) {
+    condensed_->Update(v);
+  } else {
+    full_->Update(v);
+  }
 }
 
 double SnapshotEstimator::InitialBound(VertexId v) {
   SOLDIST_CHECK(built_);
   SOLDIST_CHECK(mode_ == Mode::kCondensed);
-  return backend_->InitialBound(v);
+  return condensed_->InitialBound(v);
+}
+
+const TraversalCounters& SnapshotEstimator::counters() const {
+  return condensed_ != nullptr ? condensed_->counters() : counters_;
 }
 
 std::uint64_t SnapshotEstimator::MemoryBytes() const {
-  return backend_ == nullptr ? 0 : backend_->MemoryBytes();
+  if (condensed_ != nullptr) {
+    return arena_->MemoryBytes() + condensed_->MemoryBytes();
+  }
+  return full_ == nullptr ? 0 : full_->MemoryBytes();
 }
-
-/// Pimpl wrapper: the shared gain core is file-local, so the header only
-/// forward-declares this.
-class ArenaSnapshotEstimator::Core {
- public:
-  CondensedGainCore gain;
-};
 
 ArenaSnapshotEstimator::ArenaSnapshotEstimator(const SnapshotArena* arena,
                                                std::uint64_t tau)
@@ -607,40 +516,32 @@ void ArenaSnapshotEstimator::Build() {
   // a fresh build at τ would have accumulated.
   counters_ = arena_->PrefixCounters(tau_);
   core_ = std::make_unique<Core>();
-  core_->gain.Init(arena_->Worlds(tau_), arena_->Warmths(tau_), &counters_);
+  core_->Init(arena_->Worlds(tau_), arena_->Warmths(tau_), &counters_);
 }
 
 double ArenaSnapshotEstimator::Estimate(VertexId v) {
   SOLDIST_CHECK(built_);
-  return core_->gain.Estimate(v);
+  return core_->Estimate(v);
 }
 
 void ArenaSnapshotEstimator::EstimateAll(
     std::span<const VertexId> candidates, std::span<double> out) {
   SOLDIST_CHECK(built_);
-  core_->gain.EstimateAll(candidates, out);
+  core_->EstimateAll(candidates, out);
 }
 
 void ArenaSnapshotEstimator::Update(VertexId v) {
   SOLDIST_CHECK(built_);
-  core_->gain.Update(v);
+  core_->Update(v);
 }
 
 double ArenaSnapshotEstimator::InitialBound(VertexId v) {
   SOLDIST_CHECK(built_);
-  // The arena owns the warmth, and CELF asks once per vertex, so the
-  // bound is summed per call rather than cached.
-  const std::span<const CondensedSnapshot> worlds = arena_->Worlds(tau_);
-  const std::span<const SnapshotWarmth> warmth = arena_->Warmths(tau_);
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < worlds.size(); ++i) {
-    total += warmth[i].bound[worlds[i].comp_of[v]];
-  }
-  return static_cast<double>(total) / static_cast<double>(tau_);
+  return core_->InitialBound(v, arena_->Warmths(tau_));
 }
 
 std::uint64_t ArenaSnapshotEstimator::MemoryBytes() const {
-  return core_ == nullptr ? 0 : core_->gain.MemoryBytes();
+  return core_ == nullptr ? 0 : core_->MemoryBytes();
 }
 
 std::string SnapshotModeName(SnapshotEstimator::Mode mode) {

@@ -27,7 +27,10 @@
 //                 the sketch saturates below k), so selection is
 //                 unchanged while the lazy queue touches the fewest
 //                 candidates. CELF's single-vertex Estimate is the
-//                 one-candidate batch.
+//                 one-candidate batch. Build samples a SnapshotArena at
+//                 capacity τ and serves it through ArenaSnapshotEstimator,
+//                 so fresh and arena-served condensed estimators run one
+//                 code path.
 //
 // Because all three backends consume the SAME sampler streams (legacy
 // sequential or engine-chunked), the choice of backend — like the worker
@@ -50,6 +53,9 @@
 
 namespace soldist {
 
+class ArenaSnapshotEstimator;
+class SnapshotArena;
+
 /// \brief The Snapshot estimator, under either diffusion model.
 class SnapshotEstimator : public InfluenceEstimator {
  public:
@@ -71,8 +77,10 @@ class SnapshotEstimator : public InfluenceEstimator {
   /// Samples the τ snapshots — through SamplingEngine's deterministic
   /// chunked streams when UseChunkedStreams(model, sampling), else through
   /// the IC legacy sequential loop (bit-identical to the pre-engine code).
-  /// In kCondensed mode each snapshot is condensed as it is sampled and
-  /// the raw live-edge CSR is discarded immediately.
+  /// In kCondensed mode the estimator owns SnapshotArena::Sample(ig,
+  /// seed, τ, sampling) — each snapshot condensed as it is sampled, the
+  /// raw live-edge CSR discarded immediately — and answers through
+  /// ArenaSnapshotEstimator(arena, τ).
   void Build() override;
 
   /// Estimated marginal gain: (1/τ) Σ_i [r_i(S+v) − r_i(S)].
@@ -92,13 +100,12 @@ class SnapshotEstimator : public InfluenceEstimator {
   }
   /// kCondensed only: (1/τ) Σ_i bound_i(v), each bound_i sound for
   /// snapshot i (exact when the DAG sketch saturated; otherwise the
-  /// topologically capped successor-sum). Precomputed by Build's sketch
-  /// pass — the same pass that pre-seeds the gain cache — so this is an
-  /// O(1) lookup.
+  /// topologically capped successor-sum), summed over the arena's
+  /// warmth — the sketch pass that also pre-seeds the gain cache.
   double InitialBound(VertexId v) override;
 
   std::uint64_t sample_number() const override { return tau_; }
-  const TraversalCounters& counters() const override { return counters_; }
+  const TraversalCounters& counters() const override;
   std::string name() const override {
     return instance_.model == DiffusionModel::kLt ? "LT-Snapshot"
                                                   : "Snapshot";
@@ -107,27 +114,26 @@ class SnapshotEstimator : public InfluenceEstimator {
   Mode mode() const { return mode_; }
 
   /// Heap bytes of estimator-owned state after Build: sample storage plus
-  /// per-mode residual bookkeeping and scratch. The condensed backend's
-  /// memory win (no raw CSR, component-granular state) is measured here
-  /// by ablation_memory.
+  /// per-mode residual bookkeeping and scratch. kCondensed counts its
+  /// whole arena (worlds, warmth, prefix counter table) plus the gain
+  /// core; the memory win (no raw CSR, component-granular state) is
+  /// measured here by ablation_memory.
   std::uint64_t MemoryBytes() const;
 
-  /// Per-mode reachability backend (an implementation detail defined in
-  /// the .cc; public only so the backends can subclass it).
-  class Backend;
-
  private:
+  class FullBackend;  // kNaive / kResidual (defined in the .cc)
+
   ModelInstance instance_;
   std::uint64_t tau_;
   std::uint64_t seed_;
   Mode mode_;
   SamplingOptions sampling_;
-  std::unique_ptr<Backend> backend_;
-  TraversalCounters counters_;
+  std::unique_ptr<FullBackend> full_;
+  std::unique_ptr<SnapshotArena> arena_;                // kCondensed only
+  std::unique_ptr<ArenaSnapshotEstimator> condensed_;  // serves arena_
+  TraversalCounters counters_;  // full modes; condensed_ keeps its own
   bool built_ = false;
 };
-
-class SnapshotArena;
 
 /// \brief The Snapshot estimator served zero-copy from a SnapshotArena
 /// prefix (sim/snapshot_arena.h) instead of sampling its own worlds.
@@ -138,11 +144,11 @@ class SnapshotArena;
 /// and the same counters() — as a fresh condensed
 /// SnapshotEstimator(ig, τ, seed, Mode::kCondensed, sampling), because
 /// the streams are prefix-closed and the precomputed warmth is a pure
-/// function of each world (ctest snapshot_arena_test). Build costs one
+/// function of each world (ctest snapshot_arena_test); the fresh
+/// estimator is this class over an arena of capacity τ. Build costs one
 /// warm-state init over the first τ worlds; sampling cost is charged to
 /// counters() via the arena's prefix counter table. EstimateAll batches
-/// each round world-major over the arena's own component ids, exactly as
-/// the fresh condensed backend does.
+/// each round world-major over the arena's own component ids.
 class ArenaSnapshotEstimator : public InfluenceEstimator {
  public:
   ArenaSnapshotEstimator(const SnapshotArena* arena, std::uint64_t tau);
@@ -165,7 +171,7 @@ class ArenaSnapshotEstimator : public InfluenceEstimator {
   std::uint64_t MemoryBytes() const;
 
  private:
-  class Core;  // wraps the shared condensed gain core (snapshot.cc)
+  class Core;  // the condensed incremental-gain engine (snapshot.cc)
 
   const SnapshotArena* arena_;
   std::uint64_t tau_;

@@ -131,6 +131,17 @@ StatusOr<ExperimentOptions> ParseExperimentFlags(const ArgParser& args) {
   StatusOr<SnapshotEstimator::Mode> snapshot_mode =
       ParseSnapshotMode(args.GetString("snapshot-mode"));
   if (!snapshot_mode.ok()) return snapshot_mode.status();
+  // LT Snapshot always runs the naive backend, so an explicit other mode
+  // would be silently ignored and its counters misattributed. The default
+  // stays valid so LT benches need not pass the flag.
+  if (model.value() == DiffusionModel::kLt &&
+      args.Provided("snapshot-mode") &&
+      snapshot_mode.value() != SnapshotEstimator::Mode::kNaive) {
+    return Status::InvalidArgument(
+        "--snapshot-mode " + SnapshotModeName(snapshot_mode.value()) +
+        " is IC-only: LT Snapshot always runs naive (omit the flag or "
+        "pass naive)");
+  }
   StatusOr<SweepReuse> sweep_reuse =
       ParseSweepReuse(args.GetString("sweep-reuse"));
   if (!sweep_reuse.ok()) return sweep_reuse.status();

@@ -36,12 +36,10 @@
 // list at the first id >= τ (one binary search per vertex, cached in the
 // view); the cut length doubles as the initial CELF cover count.
 //
-// This header also hosts the delta+varint compressed collection (folded
-// in from the former sim/rr_compress.h): the paper's Section 7 question
-// about compressing reverse-reachable sets, answered with an
-// RrCollection-compatible query API over ~1-2 bytes/entry storage. Its
-// encoding is the one store::CompressedStorage promotes to a real arena
-// backend.
+// The paper's Section 7 question — can reverse-reachable sets be
+// compressed? — is answered by store::CompressedStorage: a converted
+// arena holds its sets and index delta+varint coded at ~1-2 bytes/entry
+// and answers every query identically.
 
 #ifndef SOLDIST_SIM_RR_ARENA_H_
 #define SOLDIST_SIM_RR_ARENA_H_
@@ -245,71 +243,6 @@ class RrPrefixView {
   std::vector<std::uint64_t> own_set_offsets_;
   std::vector<std::uint32_t> own_ids_;
   std::vector<std::uint32_t> own_index_offsets_;
-};
-
-// ---------------------------------------------------------------------
-// Compressed RR-set storage (folded in from sim/rr_compress.h): the
-// paper's concluding remarks (Section 7) ask whether Snapshot/RIS memory
-// can be cut "e.g., by compressing reverse-reachable sets" — answered
-// with a delta+varint encoded collection exposing the same query API as
-// RrCollection. Each RR set is sorted, delta-encoded, and LEB128-varint
-// packed; the inverted index is stored the same way. Small RR sets over
-// dense ids compress to 1-2 bytes/entry vs 4 (sets) + 4 (index) in the
-// uncompressed collection.
-// ---------------------------------------------------------------------
-
-/// Appends v as LEB128 to `out`.
-void VarintEncode(std::uint64_t v, std::vector<std::uint8_t>* out);
-
-/// Decodes one LEB128 value from data[*pos], advancing *pos.
-std::uint64_t VarintDecode(const std::uint8_t* data, std::size_t* pos);
-
-/// \brief RR-set collection with compressed sets and compressed inverted
-/// index. Query-compatible with RrCollection (decode on the fly).
-class CompressedRrCollection {
- public:
-  explicit CompressedRrCollection(VertexId num_vertices);
-
-  /// Appends one RR set (copied, sorted, delta+varint encoded).
-  void Add(const std::vector<VertexId>& rr_set);
-
-  /// Builds the compressed inverted index; call after the last Add.
-  void BuildIndex();
-
-  std::uint64_t size() const {
-    return static_cast<std::uint64_t>(set_offsets_.size()) - 1;
-  }
-  std::uint64_t total_entries() const { return total_entries_; }
-  VertexId num_vertices() const { return num_vertices_; }
-
-  /// Decodes set i into *out (sorted ascending).
-  void DecodeSet(std::uint64_t i, std::vector<VertexId>* out) const;
-
-  /// Decodes the ids of sets containing v into *out (ascending).
-  /// Requires BuildIndex().
-  void DecodeInvertedList(VertexId v, std::vector<std::uint64_t>* out) const;
-
-  /// Number of RR sets intersecting `seeds` (requires BuildIndex()).
-  std::uint64_t CountCovered(std::span<const VertexId> seeds) const;
-
-  /// Heap bytes used by the compressed payloads (sets + index + offsets).
-  std::uint64_t MemoryBytes() const;
-
-  /// Bytes an uncompressed RrCollection needs for the same content
-  /// (4 B/set entry + 4 B/index entry + offset arrays), for comparison.
-  std::uint64_t UncompressedBytes() const;
-
- private:
-  VertexId num_vertices_;
-  std::uint64_t total_entries_ = 0;
-  std::vector<std::uint8_t> set_bytes_;
-  std::vector<std::uint64_t> set_offsets_;  // into set_bytes_
-  std::vector<std::uint8_t> index_bytes_;
-  std::vector<std::uint64_t> index_offsets_;  // per vertex, into index_bytes_
-  bool index_built_ = false;
-  mutable std::vector<std::uint32_t> covered_stamp_;
-  mutable std::uint32_t covered_epoch_ = 0;
-  mutable std::vector<std::uint64_t> scratch_ids_;
 };
 
 }  // namespace soldist

@@ -124,8 +124,8 @@ SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
       }
     }
   } else {
-    // Legacy single-stream path: same snapshot stream as the fresh
-    // condensed backend, condensed one at a time so the raw CSR never
+    // Legacy single-stream path: same snapshot stream as the full
+    // Snapshot backends, condensed one at a time so the raw CSR never
     // accumulates; per-snapshot counter deltas feed the prefix table.
     Rng rng(seed);
     SnapshotSampler sampler(&ig);
@@ -151,10 +151,11 @@ SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
     arena.max_components_ =
         std::max(arena.max_components_, snap.num_components());
   }
-  // Warmth permutation stream: off the sampler chunk streams, like the
-  // fresh backend's DeriveSeed(seed, τ + 1) — any distinct-rank
-  // permutation yields the same warmth (header note), so capacity vs τ
-  // in the derivation cannot change a byte.
+  // Warmth permutation stream: off the sampler chunk streams. A fresh
+  // condensed estimator at τ draws DeriveSeed(seed, τ + 1) through this
+  // same call, and any distinct-rank permutation yields the same warmth
+  // (header note), so serving a τ prefix of a larger arena cannot change
+  // a byte.
   arena.warmth_ = ComputeSnapshotWarmth(
       arena.snaps_, ig.num_vertices(), DeriveSeed(seed, capacity + 1),
       sampling);

@@ -10,10 +10,11 @@
 // snapshots in order, so the first τ₁ snapshots of a τ₂ build are
 // byte-identical to a τ₁ build; the legacy sequential loop draws every
 // snapshot from ONE Rng(seed) stream, so its prefixes coincide
-// trivially. The arena samples with EXACTLY the stream discipline of
-// SnapshotEstimator's condensed backend, which is what makes an
-// arena-served sweep cell byte-identical to a freshly sampled one
-// (ctest snapshot_arena_test enforces this for worker counts 1/2/4).
+// trivially. The arena is also the ONLY sampler of condensed worlds: a
+// fresh kCondensed SnapshotEstimator samples an arena at capacity τ and
+// serves it whole, so an arena-served sweep cell is byte-identical to a
+// freshly sampled one (ctest snapshot_arena_test enforces this for
+// worker counts 1/2/4; snapshot_condensed_test pins absolute digests).
 //
 // Warmth: the condensed gain backend pre-seeds its cache and CELF bounds
 // from bottom-k DAG sketches. Both the exactness test (len < k ⟺
@@ -80,13 +81,14 @@ std::vector<SnapshotWarmth> ComputeSnapshotWarmth(
 /// prefixes and point queries from one arena concurrently.
 class SnapshotArena : public WorldArena {
  public:
-  /// Samples `capacity` snapshots with the condensed backend's exact
-  /// stream discipline (engine chunk streams when sampling.UseEngine(),
-  /// legacy sequential Rng(seed) loop otherwise), condensing each as it
-  /// is sampled, then precomputes warmth with the permutation stream
-  /// DeriveSeed(seed, capacity + 1). A fresh condensed
-  /// SnapshotEstimator(ig, τ, seed, sampling) for any τ <= capacity
-  /// consumes the byte-identical prefix of this arena.
+  /// Samples `capacity` snapshots with the Snapshot estimators' stream
+  /// discipline (engine chunk streams when UseChunkedStreams, legacy
+  /// sequential Rng(seed) loop otherwise — the same live-edge graphs the
+  /// full backends walk), condensing each as it is sampled, then
+  /// precomputes warmth with the permutation stream DeriveSeed(seed,
+  /// capacity + 1). A fresh condensed SnapshotEstimator(ig, τ, seed,
+  /// kCondensed, sampling) is this call at capacity τ; for any τ <=
+  /// capacity it sees the byte-identical prefix of this arena.
   static SnapshotArena Sample(const InfluenceGraph& ig, std::uint64_t seed,
                               std::uint64_t capacity,
                               const SamplingOptions& sampling);

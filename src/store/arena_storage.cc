@@ -14,11 +14,7 @@
 
 namespace soldist {
 namespace store {
-namespace {
 
-// Store-local LEB128 codec. sim/rr_arena.h exports an identical pair for
-// CompressedRrCollection; store/ keeps its own so the dependency points
-// sim -> store only.
 void PutVarint(std::uint64_t v, std::vector<std::uint8_t>* out) {
   while (v >= 0x80) {
     out->push_back(static_cast<std::uint8_t>(v) | 0x80);
@@ -39,6 +35,8 @@ std::uint64_t GetVarint(const std::uint8_t* data, std::size_t* pos) {
   }
   return v;
 }
+
+namespace {
 
 /// Decodes a count-prefixed gap stream (first entry absolute) starting at
 /// data[begin] into *out.
@@ -150,7 +148,7 @@ EncodedArena EncodeRrPayload(const RrFlatPayload& payload,
     VertexId prev = 0;
     for (std::size_t j = 0; j < sorted.size(); ++j) {
       // First entry absolute, rest gaps (>= 1: RR-set members are
-      // distinct) — same convention as CompressedRrCollection::Add.
+      // distinct).
       PutVarint(j == 0 ? sorted[0] : sorted[j] - prev, &enc.set_bytes);
       prev = sorted[j];
     }

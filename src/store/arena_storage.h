@@ -8,9 +8,9 @@
 //
 //   FlatStorage        today's word-packed layout, zero behavior change;
 //                      queries return zero-copy spans into the payload.
-//   CompressedStorage  the delta+varint encoding of CompressedRrCollection
-//                      promoted to a real backend: sets are sorted, gap
-//                      coded and LEB128 packed (~1-2 B/entry vs 8), the
+//   CompressedStorage  the paper's Section 7 RR-set compression: sets
+//                      are sorted, gap coded and LEB128 packed
+//                      (~1-2 B/entry vs 8; PutVarint/GetVarint below), the
 //                      inverted index likewise; per-vertex lists decode on
 //                      demand through a byte-budgeted hot-list LRU.
 //   MmapSpillStorage   the same encoding spilled to a file under
@@ -43,6 +43,7 @@
 #ifndef SOLDIST_STORE_ARENA_STORAGE_H_
 #define SOLDIST_STORE_ARENA_STORAGE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -57,6 +58,12 @@
 
 namespace soldist {
 namespace store {
+
+/// Appends v to `out` as LEB128 (7 bits per byte, low group first).
+void PutVarint(std::uint64_t v, std::vector<std::uint8_t>* out);
+
+/// Decodes one LEB128 value from data[*pos], advancing *pos.
+std::uint64_t GetVarint(const std::uint8_t* data, std::size_t* pos);
 
 /// \brief Which backend holds an arena's payload.
 enum class ArenaBackend { kFlat, kCompressed, kMmap };

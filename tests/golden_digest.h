@@ -6,7 +6,8 @@
 // lt_sampling_engine_test (LT) cover RunGreedy (k = 5) for every approach
 // under the default sampling options and under 4 workers with chunk 64,
 // on Karate and Physicians with iwc probabilities, plus one digest per
-// chunk-driver output.
+// chunk-driver output. snapshot_condensed_test pins condensed Snapshot
+// the same way, for both RunGreedy and RunCelfGreedy.
 
 #ifndef SOLDIST_TESTS_GOLDEN_DIGEST_H_
 #define SOLDIST_TESTS_GOLDEN_DIGEST_H_

@@ -4,7 +4,7 @@
 // legacy sequential IC stream family, the chunked engine streams at
 // worker counts 1/2/4, both chunk sizes, and both diffusion models. On
 // top of that, ArenaRisEstimator must be indistinguishable from
-// RisEstimator/LtRisEstimator through the greedy framework.
+// RisEstimator (under either model) through the greedy framework.
 
 #include <gtest/gtest.h>
 
@@ -51,7 +51,7 @@ void ExpectCountersEq(const TraversalCounters& a,
 }
 
 /// Builds the RR collection a fresh RIS estimator at `tau` would build
-/// (same streams as RisEstimator::Build / LtRisEstimator::Build), plus
+/// (same streams as RisEstimator::Build under either model), plus
 /// its summed counters.
 struct DirectBuild {
   RrCollection collection;

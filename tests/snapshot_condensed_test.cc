@@ -10,6 +10,7 @@
 #include "core/greedy.h"
 #include "core/snapshot.h"
 #include "gen/datasets.h"
+#include "golden_digest.h"
 #include "graph/builder.h"
 #include "model/probability.h"
 #include "sim/condensed_snapshot.h"
@@ -186,6 +187,45 @@ TEST(CondensedBackendTest, CondensedUsesLessMemoryWhenComponentsAreLarge) {
   residual.Build();
   condensed.Build();
   EXPECT_LT(condensed.MemoryBytes(), residual.MemoryBytes());
+}
+
+/// Absolute condensed outputs (tests/golden_digest.h): the parity tests
+/// above compare backends against each other, and snapshot_arena_test
+/// compares arena against fresh build; these rows pin the fresh
+/// condensed build itself, so neither comparison can drift unnoticed.
+TEST(GoldenDigestTest, CondensedSnapshotRuns) {
+  struct Case {
+    const char* network;
+    bool threaded;
+    bool celf;
+    std::uint64_t digest;
+  };
+  const Case kCases[] = {
+      {"Karate", false, false, 0x9e64fb0a8c8016caull},
+      {"Karate", false, true, 0xb45452485c8b4510ull},
+      {"Karate", true, false, 0xe3b41d53d2dbfedcull},
+      {"Karate", true, true, 0xe39f360cfbb79ea0ull},
+      {"Physicians", false, false, 0xc8db59ab8180f15bull},
+      {"Physicians", false, true, 0x7b99e9efcc125f71ull},
+      {"Physicians", true, false, 0xd891e51821cf1e75ull},
+      {"Physicians", true, true, 0x905e4a6532945137ull},
+  };
+  for (const Case& c : kCases) {
+    InfluenceGraph ig = golden::Network(c.network);
+    SnapshotEstimator estimator(
+        &ig, golden::SampleNumber(Approach::kSnapshot), /*seed=*/29,
+        SnapshotEstimator::Mode::kCondensed, golden::Sampling(c.threaded));
+    Rng tie_rng(7);
+    const GreedyRunResult run =
+        c.celf ? RunCelfGreedy(&estimator, ig.num_vertices(), 5, &tie_rng)
+                     .greedy
+               : RunGreedy(&estimator, ig.num_vertices(), 5, &tie_rng);
+    const std::uint64_t digest =
+        golden::GreedyDigest(run, estimator.counters());
+    EXPECT_EQ(digest, c.digest)
+        << "{\"" << c.network << "\", " << c.threaded << ", " << c.celf
+        << ", " << golden::Hex(digest) << "}";
+  }
 }
 
 TEST(SnapshotModeTest, ParseAndName) {
