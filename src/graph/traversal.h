@@ -40,11 +40,12 @@ class VisitedMarker {
     return true;
   }
 
-  /// Marks v when `cond` holds, as a select rather than a branch: the
-  /// sampling loops pass a coin outcome, which no predictor can learn.
-  void MarkIf(VertexId v, bool cond) {
-    stamp_[v] = cond ? epoch_ : stamp_[v];
-  }
+  /// Raw stamps and the current epoch, for loops that hoist both into
+  /// locals: v is marked iff stamps()[v] == epoch(). The IC sampling
+  /// kernels mark on a coin outcome as a mask select, which no predictor
+  /// has to learn.
+  std::uint32_t* stamps() { return stamp_.data(); }
+  std::uint32_t epoch() const { return epoch_; }
 
   std::size_t size() const { return stamp_.size(); }
 

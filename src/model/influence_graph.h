@@ -1,11 +1,14 @@
 // InfluenceGraph: a directed graph plus an influence-probability function
 // p : E -> (0, 1] (paper Section 2.1). Probabilities are stored aligned to
 // both CSR directions so forward simulation and reverse (RR-set) sampling
-// each stream through contiguous memory.
+// each stream through contiguous memory, each beside its integer coin
+// threshold t(e) = CoinThreshold(p(e)), which the IC kernels compare raw
+// engine bits against.
 
 #ifndef SOLDIST_MODEL_INFLUENCE_GRAPH_H_
 #define SOLDIST_MODEL_INFLUENCE_GRAPH_H_
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -39,7 +42,15 @@ class InfluenceGraph {
   }
 
   const std::vector<double>& out_probabilities() const { return out_prob_; }
-  const std::vector<double>& in_probabilities() const { return in_prob_; }
+
+  /// t(e) = ceil(p(e)·2^53) in out-CSR / in-CSR order: (bits >> 11) <
+  /// t(e) is the coin Bernoulli(p(e)) on the same 64 bits.
+  const std::vector<std::uint64_t>& out_thresholds() const {
+    return out_threshold_;
+  }
+  const std::vector<std::uint64_t>& in_thresholds() const {
+    return in_threshold_;
+  }
 
   /// m̃ = Σ_e p(e): the expected number of live edges in G ~ G; Snapshot's
   /// expected per-snapshot sample size (paper Table 1).
@@ -49,6 +60,8 @@ class InfluenceGraph {
   Graph graph_;
   std::vector<double> out_prob_;
   std::vector<double> in_prob_;
+  std::vector<std::uint64_t> out_threshold_;
+  std::vector<std::uint64_t> in_threshold_;
   double sum_prob_;
 };
 

@@ -6,6 +6,13 @@
 // logical streams (vertex choice, edge coins), realized as two Rng
 // instances with distinct derived seeds.
 //
+// The engine is the in-tree block-generated Mt19937_64
+// (random/mt19937_64.h), whose output equals std::mt19937_64's for every
+// seed; RngTest.StreamMatchesStdMt19937_64 pins NextBits, UnitReal,
+// UniformInt and std::shuffle through engine() against the standard
+// library. The IC kernels flip their coins as integer compares against
+// CoinThreshold, which decides exactly as Bernoulli does.
+//
 // Parallel sampling keeps the same discipline one level down: the
 // SamplingEngine (sim/sampling_engine.h) gives chunk c of a build its own
 // stream family rooted at DeriveSeed(master, c), so results never depend
@@ -14,9 +21,10 @@
 #ifndef SOLDIST_RANDOM_RNG_H_
 #define SOLDIST_RANDOM_RNG_H_
 
+#include <cmath>
 #include <cstdint>
-#include <random>
 
+#include "random/mt19937_64.h"
 #include "util/logging.h"
 
 namespace soldist {
@@ -57,12 +65,21 @@ class Rng {
   /// "generate random x in [0,1] ... alive if x < p(e)".
   bool Bernoulli(double p) { return UnitReal() < p; }
 
-  /// Underlying engine, for std::shuffle and std:: distributions.
-  std::mt19937_64& engine() { return engine_; }
+  /// Underlying engine, for std::shuffle and std:: distributions, and
+  /// for the kernels' Mt19937_64::Cursor.
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
+
+/// Integer coin threshold t(p) = ceil(p·2^53) for p in [0, 1]:
+/// (bits >> 11) < t(p) holds exactly when Bernoulli(p) on the same bits
+/// does. UnitReal is k·2^-53 with k = bits >> 11, and both k·2^-53 and
+/// p·2^53 are exact, so k·2^-53 < p iff k < p·2^53 iff k < ceil(p·2^53).
+inline std::uint64_t CoinThreshold(double p) {
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 }  // namespace soldist
 

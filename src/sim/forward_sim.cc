@@ -11,9 +11,12 @@ std::uint32_t ForwardSimulator::Simulate(std::span<const VertexId> seeds,
   const Graph& g = ig_->graph();
   const EdgeId* offsets = g.out_offsets().data();
   const VertexId* targets = g.out_targets().data();
-  const double* prob = ig_->out_probabilities().data();
+  const std::uint64_t* threshold = ig_->out_thresholds().data();
   VertexId* queue = queue_.data();
   active_.NextEpoch();
+  std::uint32_t* stamp = active_.stamps();
+  const std::uint32_t epoch = active_.epoch();
+  Mt19937_64::Cursor coins(&rng->engine());
   std::size_t tail = 0;
   for (VertexId s : seeds) {
     if (active_.Mark(s)) queue[tail++] = s;
@@ -27,10 +30,12 @@ std::uint32_t ForwardSimulator::Simulate(std::span<const VertexId> seeds,
     edges += end - begin;
     for (EdgeId e = begin; e < end; ++e) {
       const VertexId v = targets[e];
-      if (active_.IsMarked(v)) continue;  // already active: coin is moot
+      const std::uint32_t s = stamp[v];
+      if (s == epoch) continue;  // already active: coin is moot
       // v is unmarked, so it is not queued and tail < n: the slot is free.
-      const bool live = rng->Bernoulli(prob[e]);
-      active_.MarkIf(v, live);
+      const std::uint32_t live = (coins() >> 11) < threshold[e];
+      const std::uint32_t mask = 0u - live;
+      stamp[v] = (s & ~mask) | (epoch & mask);
       queue[tail] = v;
       tail += live;
     }

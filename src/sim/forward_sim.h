@@ -22,13 +22,16 @@ namespace soldist {
 /// Reusable across simulations (epoch-marked visited array, an n-entry
 /// queue buffer); not thread-safe — use one simulator per thread.
 ///
-/// Draw contract: a diffusion flips exactly one coin,
-/// rng->Bernoulli(p(e)), per out-edge e scanned to a target that is not
-/// yet active, in BFS order. The coin's outcome never decides a branch
-/// (the loop always writes the target at the queue tail and advances the
-/// tail by the outcome), but which coins are drawn, their order and their
-/// p are fixed by this contract, so activated sets, counters and the
-/// Rng's state after every call are a pure function of (seeds, rng).
+/// Draw contract: a diffusion flips exactly one coin per out-edge e
+/// scanned to a target that is not yet active, in BFS order: one 64-bit
+/// draw `bits` from the Rng's engine, live iff (bits >> 11) < t(e) with
+/// t(e) = InfluenceGraph::out_thresholds()[e] — the same outcome as
+/// rng->Bernoulli(p(e)) on those bits. The coin's outcome never decides a
+/// branch (the loop always writes the target at the queue tail, advances
+/// the tail by the outcome and marks it by a mask select), but which coins
+/// are drawn, their order and their p are fixed by this contract, so
+/// activated sets, counters and the Rng's state after every call are a
+/// pure function of (seeds, rng).
 class ForwardSimulator {
  public:
   explicit ForwardSimulator(const InfluenceGraph* ig);

@@ -37,32 +37,6 @@ void BuildFlatIndex(store::RrFlatPayload* payload, VertexId num_vertices) {
   }
 }
 
-/// Cuts a possibly-cancelled shard list to its longest contiguous
-/// completed prefix: an empty shard (skipped chunk) or a short shard
-/// (per-set cancel inside a chunk) marks the cut; a short shard's
-/// produced prefix is kept. Returns the number of surviving sets.
-/// Because chunk c draws only from DeriveSeed(master, c) and sets are
-/// drawn in order, the survivors are byte-identical to a direct build
-/// at the returned (smaller) capacity.
-std::uint64_t TruncateCancelledShards(std::vector<RrShard>* shards,
-                                      std::uint64_t chunk_size,
-                                      std::uint64_t capacity) {
-  std::uint64_t kept = 0;
-  std::size_t keep_shards = 0;
-  for (std::size_t s = 0; s < shards->size(); ++s) {
-    const RrShard& shard = (*shards)[s];
-    if (shard.offsets.empty()) break;
-    const std::uint64_t begin = s * chunk_size;
-    const std::uint64_t expected =
-        std::min(begin + chunk_size, capacity) - begin;
-    kept += shard.num_sets();
-    keep_shards = s + 1;
-    if (shard.num_sets() < expected) break;
-  }
-  shards->resize(keep_shards);
-  return kept;
-}
-
 }  // namespace
 
 RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
@@ -79,7 +53,9 @@ RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
     const std::uint64_t actual =
         sampling.cancel == nullptr
             ? capacity
-            : TruncateCancelledShards(&shards, engine.chunk_size(), capacity);
+            : TruncateCancelledShards(
+                  &shards, engine.chunk_size(), capacity,
+                  [](const RrShard& shard) { return shard.num_sets(); });
     arena.Finalize(std::move(shards), actual);
     return arena;
   }
@@ -94,7 +70,6 @@ RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
   shard.offsets.reserve(capacity + 1);
   shard.offsets.push_back(0);
   shard.per_set.reserve(capacity);
-  std::vector<VertexId> rr_set;
   for (std::uint64_t i = 0; i < capacity; ++i) {
     // Cooperative cancel: the single-stream loop simply stops early; the
     // produced prefix IS a direct smaller build (set 0 always lands).
@@ -102,9 +77,9 @@ RrArena RrArena::SampleFor(const ModelInstance& instance, std::uint64_t seed,
       break;
     }
     const TraversalCounters before = shard.counters;
-    sampler.Sample(&target_rng, &coin_rng, &rr_set, &shard.counters);
+    sampler.AppendSample(&target_rng, &coin_rng, &shard.flat,
+                         &shard.counters);
     shard.per_set.push_back(shard.counters - before);
-    shard.flat.insert(shard.flat.end(), rr_set.begin(), rr_set.end());
     shard.offsets.push_back(static_cast<std::uint64_t>(shard.flat.size()));
   }
   arena.Finalize(std::move(shards), shard.num_sets());

@@ -16,21 +16,38 @@ RrSampler::RrSampler(const InfluenceGraph* ig)
 void RrSampler::Sample(Rng* target_rng, Rng* coin_rng,
                        std::vector<VertexId>* out,
                        TraversalCounters* counters) {
+  out->clear();
+  AppendSample(target_rng, coin_rng, out, counters);
+}
+
+void RrSampler::AppendSample(Rng* target_rng, Rng* coin_rng,
+                             std::vector<VertexId>* flat,
+                             TraversalCounters* counters) {
   auto target =
       static_cast<VertexId>(target_rng->UniformInt(ig_->num_vertices()));
-  SampleForTarget(target, coin_rng, out, counters);
+  const std::size_t size = Traverse(target, coin_rng, counters);
+  flat->insert(flat->end(), queue_.data(), queue_.data() + size);
 }
 
 void RrSampler::SampleForTarget(VertexId target, Rng* coin_rng,
                                 std::vector<VertexId>* out,
                                 TraversalCounters* counters) {
+  const std::size_t size = Traverse(target, coin_rng, counters);
+  out->assign(queue_.data(), queue_.data() + size);
+}
+
+std::size_t RrSampler::Traverse(VertexId target, Rng* coin_rng,
+                                TraversalCounters* counters) {
   const Graph& g = ig_->graph();
   const EdgeId* offsets = g.in_offsets().data();
   const VertexId* sources = g.in_sources().data();
-  const double* prob = ig_->in_probabilities().data();
+  const std::uint64_t* threshold = ig_->in_thresholds().data();
   VertexId* queue = queue_.data();
   visited_.NextEpoch();
-  visited_.Mark(target);
+  std::uint32_t* stamp = visited_.stamps();
+  const std::uint32_t epoch = visited_.epoch();
+  Mt19937_64::Cursor coins(&coin_rng->engine());
+  stamp[target] = epoch;
   queue[0] = target;
   std::size_t tail = 1;
   std::uint64_t edges = 0;
@@ -41,10 +58,12 @@ void RrSampler::SampleForTarget(VertexId target, Rng* coin_rng,
     edges += end - begin;
     for (EdgeId pos = begin; pos < end; ++pos) {
       const VertexId w = sources[pos];
-      if (visited_.IsMarked(w)) continue;
+      const std::uint32_t s = stamp[w];
+      if (s == epoch) continue;
       // w is unmarked, so it is not queued and tail < n: the slot is free.
-      const bool live = coin_rng->Bernoulli(prob[pos]);
-      visited_.MarkIf(w, live);
+      const std::uint32_t live = (coins() >> 11) < threshold[pos];
+      const std::uint32_t mask = 0u - live;
+      stamp[w] = (s & ~mask) | (epoch & mask);
       queue[tail] = w;
       tail += live;
     }
@@ -53,7 +72,7 @@ void RrSampler::SampleForTarget(VertexId target, Rng* coin_rng,
   counters->vertices += tail;
   counters->edges += edges;
   counters->sample_vertices += tail;
-  out->assign(queue, queue + tail);
+  return tail;
 }
 
 namespace {

@@ -26,13 +26,15 @@ namespace soldist {
 /// random target, a second stream drives the edge coins.
 ///
 /// Draw contract: one target_rng->UniformInt(n) per Sample, then exactly
-/// one coin, coin_rng->Bernoulli(p(e)), per in-edge e scanned from a
-/// source not yet in R, in BFS order. The coin's outcome never decides a
-/// branch (the loop always writes the source at the queue tail and
-/// advances the tail by the outcome), but which coins are drawn, their
-/// order and their p are fixed by this contract, so RR sets, their entry
-/// order, counters and both Rngs' states are a pure function of the
-/// streams.
+/// one coin per in-edge e scanned from a source not yet in R, in BFS
+/// order: one 64-bit draw `bits` from coin_rng's engine, live iff
+/// (bits >> 11) < t(e) with t(e) = InfluenceGraph::in_thresholds()[e] —
+/// the same outcome as coin_rng->Bernoulli(p(e)) on those bits. The coin's
+/// outcome never decides a branch (the loop always writes the source at
+/// the queue tail, advances the tail by the outcome and marks it by a mask
+/// select), but which coins are drawn, their order and their p are fixed
+/// by this contract, so RR sets, their entry order, counters and both
+/// Rngs' states are a pure function of the streams.
 class RrSampler {
  public:
   explicit RrSampler(const InfluenceGraph* ig);
@@ -47,6 +49,11 @@ class RrSampler {
   void Sample(Rng* target_rng, Rng* coin_rng, std::vector<VertexId>* out,
               TraversalCounters* counters);
 
+  /// Sample with the same draws, appending the RR set to `*flat` instead
+  /// of replacing `*out`: a flat+offsets builder copies each set once.
+  void AppendSample(Rng* target_rng, Rng* coin_rng,
+                    std::vector<VertexId>* flat, TraversalCounters* counters);
+
   /// Samples an RR set for a *fixed* target (tests; oracle stratification).
   void SampleForTarget(VertexId target, Rng* coin_rng,
                        std::vector<VertexId>* out,
@@ -55,6 +62,10 @@ class RrSampler {
   const InfluenceGraph& influence_graph() const { return *ig_; }
 
  private:
+  /// The kernel: leaves R in queue_[0, size) and returns its size.
+  std::size_t Traverse(VertexId target, Rng* coin_rng,
+                       TraversalCounters* counters);
+
   const InfluenceGraph* ig_;
   VisitedMarker visited_;
   std::vector<VertexId> queue_;  // size n; the live prefix is R

@@ -99,22 +99,11 @@ SnapshotArena SnapshotArena::Sample(const InfluenceGraph& ig,
     std::vector<CondensedSnapshotShard> shards = SampleCondensedSnapshotShards(
         ig, seed, capacity, &engine, /*record_per_snapshot=*/true);
     if (sampling.cancel != nullptr) {
-      // Truncate a cancelled build to its contiguous completed prefix:
-      // an empty shard (skipped chunk) or a short shard marks the cut;
-      // the survivors are byte-identical to a direct smaller build
-      // (chunk c draws only from DeriveSeed(seed, c)).
-      std::size_t keep = 0;
-      actual = 0;
-      for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (shards[s].snapshots.empty()) break;
-        const std::uint64_t begin = s * engine.chunk_size();
-        const std::uint64_t expected =
-            std::min(begin + engine.chunk_size(), capacity) - begin;
-        actual += shards[s].snapshots.size();
-        keep = s + 1;
-        if (shards[s].snapshots.size() < expected) break;
-      }
-      shards.resize(keep);
+      actual = TruncateCancelledShards(
+          &shards, engine.chunk_size(), capacity,
+          [](const CondensedSnapshotShard& shard) {
+            return static_cast<std::uint64_t>(shard.snapshots.size());
+          });
     }
     for (CondensedSnapshotShard& shard : shards) {
       SOLDIST_CHECK(shard.per_snapshot.size() == shard.snapshots.size());

@@ -24,7 +24,8 @@ void SnapshotSampler::SampleInto(Rng* rng, TraversalCounters* counters,
   const VertexId n = g.num_vertices();
   const EdgeId* offsets = g.out_offsets().data();
   const VertexId* targets = g.out_targets().data();
-  const double* prob = ig_->out_probabilities().data();
+  const std::uint64_t* threshold = ig_->out_thresholds().data();
+  Mt19937_64::Cursor coins(&rng->engine());
   out->out_offsets.resize(static_cast<std::size_t>(n) + 1);
   out->out_offsets[0] = 0;
   std::size_t live = 0;
@@ -39,7 +40,7 @@ void SnapshotSampler::SampleInto(Rng* rng, TraversalCounters* counters,
     VertexId* buf = live_targets_.data();
     for (EdgeId e = begin; e < end; ++e) {
       buf[live] = targets[e];
-      live += rng->Bernoulli(prob[e]);
+      live += (coins() >> 11) < threshold[e];
     }
     out->out_offsets[u + 1] = static_cast<EdgeId>(live);
   }

@@ -27,13 +27,15 @@ struct Snapshot {
 
 /// \brief Samples snapshots and answers reachability on them.
 ///
-/// Draw contract: a snapshot flips exactly one coin, rng->Bernoulli(p(e)),
-/// per arc e of the graph in CSR order (vertex by vertex, each vertex's
-/// out-arcs in order). The coin's outcome never decides a branch (the
-/// loop always writes the target at the live tail and advances the tail by
-/// the outcome), but the draws themselves are fixed by this contract, so
-/// snapshots, counters and the Rng's state after every call are a pure
-/// function of the stream.
+/// Draw contract: a snapshot flips exactly one coin per arc e of the graph
+/// in CSR order (vertex by vertex, each vertex's out-arcs in order): one
+/// 64-bit draw `bits` from the Rng's engine, live iff (bits >> 11) < t(e)
+/// with t(e) = InfluenceGraph::out_thresholds()[e] — the same outcome as
+/// rng->Bernoulli(p(e)) on those bits. The coin's outcome never decides a
+/// branch (the loop always writes the target at the live tail and advances
+/// the tail by the outcome), but the draws themselves are fixed by this
+/// contract, so snapshots, counters and the Rng's state after every call
+/// are a pure function of the stream.
 class SnapshotSampler {
  public:
   explicit SnapshotSampler(const InfluenceGraph* ig);

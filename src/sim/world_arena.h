@@ -17,6 +17,7 @@
 #ifndef SOLDIST_SIM_WORLD_ARENA_H_
 #define SOLDIST_SIM_WORLD_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -79,6 +80,34 @@ class PrefixCounterTable {
  private:
   std::vector<TraversalCounters> cum_;  // size() + 1 running totals
 };
+
+/// Cuts a possibly-cancelled shard list to its longest contiguous
+/// completed prefix and returns the number of surviving samples;
+/// `items(shard)` is the number of samples a shard holds. An empty shard
+/// (skipped chunk) or a short one (cancel inside a chunk) marks the cut; a
+/// short shard's produced prefix is kept. Because chunk c draws only from
+/// DeriveSeed(master, c) and samples are drawn in order, the survivors are
+/// byte-identical to a direct build at the returned (smaller) capacity.
+template <typename Shard, typename ItemCount>
+std::uint64_t TruncateCancelledShards(std::vector<Shard>* shards,
+                                      std::uint64_t chunk_size,
+                                      std::uint64_t capacity,
+                                      ItemCount items) {
+  std::uint64_t kept = 0;
+  std::size_t keep_shards = 0;
+  for (std::size_t s = 0; s < shards->size(); ++s) {
+    const std::uint64_t got = items((*shards)[s]);
+    if (got == 0) break;
+    const std::uint64_t begin = s * chunk_size;
+    const std::uint64_t expected =
+        std::min(begin + chunk_size, capacity) - begin;
+    kept += got;
+    keep_shards = s + 1;
+    if (got < expected) break;
+  }
+  shards->resize(keep_shards);
+  return kept;
+}
 
 /// \brief Abstract immutable sampled-store: `capacity()` prefix-closed
 /// samples over `num_vertices()` vertices with exact prefix cost

@@ -1,9 +1,14 @@
 // Unit tests for the PRNG substrate: determinism, ranges, rough
-// uniformity, and stream independence.
+// uniformity, stream independence, the engine's identity with
+// std::mt19937_64 and the exactness of the integer coin thresholds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -138,6 +143,70 @@ TEST(RngTest, EngineUsableWithStdShuffle) {
   std::shuffle(v.begin(), v.end(), rng.engine());
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, original);
+}
+
+/// Rng::UniformInt's Lemire method on a std::mt19937_64.
+std::uint64_t StdUniformInt(std::mt19937_64* engine, std::uint64_t bound) {
+  unsigned __int128 m = static_cast<unsigned __int128>((*engine)()) * bound;
+  auto low = static_cast<std::uint64_t>(m);
+  if (low < bound) {
+    const std::uint64_t threshold = (-bound) % bound;
+    while (low < threshold) {
+      m = static_cast<unsigned __int128>((*engine)()) * bound;
+      low = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
+
+TEST(RngTest, StreamMatchesStdMt19937_64) {
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  // 3 full refill blocks plus a partial one per operation.
+  constexpr int kDraws = 3 * 312 + 100;
+  for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1},
+                             std::uint64_t{42}, DeriveSeed(7, 2),
+                             std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < kDraws; ++i) ASSERT_EQ(rng.NextBits(), ref());
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(rng.UnitReal(), static_cast<double>(ref() >> 11) * 0x1.0p-53);
+    }
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(rng.UniformInt(241), StdUniformInt(&ref, 241));
+    }
+    // std::shuffle through engine(): same permutations, same draws.
+    std::vector<int> got(1000);
+    std::iota(got.begin(), got.end(), 0);
+    std::vector<int> want = got;
+    for (int round = 0; round < 3; ++round) {
+      std::shuffle(got.begin(), got.end(), rng.engine());
+      std::shuffle(want.begin(), want.end(), ref);
+      ASSERT_EQ(got, want);
+    }
+    ASSERT_EQ(rng.NextBits(), ref());
+  }
+}
+
+TEST(RngTest, CoinThresholdIsExact) {
+  std::vector<double> probs = {1.0, 0.1, 0.01};
+  for (int d = 1; d <= 5000; ++d) probs.push_back(1.0 / d);
+  const std::size_t base = probs.size();
+  for (std::size_t i = 0; i < base; ++i) {
+    probs.push_back(std::nextafter(probs[i], 0.0));
+  }
+  Rng rng(13);
+  for (double p : probs) {
+    SCOPED_TRACE(p);
+    const std::uint64_t t = CoinThreshold(p);
+    ASSERT_LE(t, std::uint64_t{1} << 53);
+    for (std::uint64_t k : {t - 1, t, rng.NextBits() >> 11}) {
+      if (k >= std::uint64_t{1} << 53) continue;  // not a 53-bit draw
+      ASSERT_EQ(k < t, static_cast<double>(k) * 0x1.0p-53 < p) << "k=" << k;
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 // reference copies of their straightforward loops, where the coin outcome
 // decides a branch and survivors are push_back-ed. The kernels must make
 // the same draws: equal sets in equal order, equal counters, and the same
-// next NextBits() from every Rng passed in.
+// next NextBits() from every Rng passed in. Each reference loop runs twice:
+// on Rng::Bernoulli, and on libstdc++'s std::mt19937_64 with the double
+// compare UnitReal() < p, so the kernels' block engine and integer coin
+// thresholds are pinned against the standard engine too.
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,9 +28,25 @@
 namespace soldist {
 namespace {
 
+/// Coin source of the reference loops: Rng::Bernoulli(p).
+struct RngCoin {
+  Rng* rng;
+  bool operator()(double p) { return rng->Bernoulli(p); }
+};
+
+/// Coin source of the reference loops: std::mt19937_64 with the double
+/// compare, the engine and coin the kernels drew with before.
+struct StdCoin {
+  std::mt19937_64 engine;
+  bool operator()(double p) {
+    return static_cast<double>(engine() >> 11) * 0x1.0p-53 < p;
+  }
+};
+
+template <typename Coin>
 std::vector<VertexId> ReferenceSimulate(const InfluenceGraph& ig,
                                         std::span<const VertexId> seeds,
-                                        Rng* rng,
+                                        Coin&& coin,
                                         TraversalCounters* counters) {
   const Graph& g = ig.graph();
   VisitedMarker active(g.num_vertices());
@@ -44,7 +64,7 @@ std::vector<VertexId> ReferenceSimulate(const InfluenceGraph& ig,
     for (EdgeId e = begin; e < end; ++e) {
       VertexId v = g.out_targets()[e];
       if (active.IsMarked(v)) continue;
-      if (rng->Bernoulli(ig.OutProbability(e))) {
+      if (coin(ig.OutProbability(e))) {
         active.Mark(v);
         queue.push_back(v);
       }
@@ -53,8 +73,9 @@ std::vector<VertexId> ReferenceSimulate(const InfluenceGraph& ig,
   return queue;
 }
 
+template <typename Coin>
 std::vector<VertexId> ReferenceRrSet(const InfluenceGraph& ig,
-                                     VertexId target, Rng* coin_rng,
+                                     VertexId target, Coin&& coin,
                                      TraversalCounters* counters) {
   const Graph& g = ig.graph();
   VisitedMarker visited(g.num_vertices());
@@ -71,7 +92,7 @@ std::vector<VertexId> ReferenceRrSet(const InfluenceGraph& ig,
     for (EdgeId pos = begin; pos < end; ++pos) {
       VertexId w = g.in_sources()[pos];
       if (visited.IsMarked(w)) continue;
-      if (coin_rng->Bernoulli(ig.InProbability(pos))) {
+      if (coin(ig.InProbability(pos))) {
         visited.Mark(w);
         out.push_back(w);
       }
@@ -81,7 +102,8 @@ std::vector<VertexId> ReferenceRrSet(const InfluenceGraph& ig,
   return out;
 }
 
-Snapshot ReferenceSnapshot(const InfluenceGraph& ig, Rng* rng,
+template <typename Coin>
+Snapshot ReferenceSnapshot(const InfluenceGraph& ig, Coin&& coin,
                            TraversalCounters* counters) {
   const Graph& g = ig.graph();
   const VertexId n = g.num_vertices();
@@ -90,7 +112,7 @@ Snapshot ReferenceSnapshot(const InfluenceGraph& ig, Rng* rng,
   out.out_offsets[0] = 0;
   for (VertexId u = 0; u < n; ++u) {
     for (EdgeId e = g.out_offsets()[u]; e < g.out_offsets()[u + 1]; ++e) {
-      if (rng->Bernoulli(ig.OutProbability(e))) {
+      if (coin(ig.OutProbability(e))) {
         out.out_targets.push_back(g.out_targets()[e]);
       }
     }
@@ -105,6 +127,13 @@ void ExpectCountersEq(const TraversalCounters& a, const TraversalCounters& b) {
   EXPECT_EQ(a.edges, b.edges);
   EXPECT_EQ(a.sample_vertices, b.sample_vertices);
   EXPECT_EQ(a.sample_edges, b.sample_edges);
+}
+
+/// The kernel's Rng and both references' streams stand at the same word.
+void ExpectNextBitsEq(Rng* rng, Rng* ref_rng, StdCoin* std_coin) {
+  const std::uint64_t next = rng->NextBits();
+  ASSERT_EQ(next, ref_rng->NextBits());
+  ASSERT_EQ(next, std_coin->engine());
 }
 
 struct Case {
@@ -176,21 +205,30 @@ TEST(SamplingKernelTest, SimulateMatchesReference) {
     ForwardSimulator sim(&c.ig);
     Rng rng(11);
     Rng ref_rng(11);
+    StdCoin std_coin{std::mt19937_64(11)};
     TraversalCounters counters;
     TraversalCounters ref_counters;
+    TraversalCounters std_counters;
     for (const std::vector<VertexId>& seeds : SeedSets(c.ig.num_vertices())) {
       for (int run = 0; run < 3; ++run) {
         std::vector<VertexId> got = sim.SimulateSet(seeds, &rng, &counters);
-        std::vector<VertexId> want =
-            ReferenceSimulate(c.ig, seeds, &ref_rng, &ref_counters);
+        std::vector<VertexId> want = ReferenceSimulate(
+            c.ig, seeds, RngCoin{&ref_rng}, &ref_counters);
         ASSERT_EQ(got, want);
+        ASSERT_EQ(got,
+                  ReferenceSimulate(c.ig, seeds, std_coin, &std_counters));
         ExpectCountersEq(counters, ref_counters);
-        ASSERT_EQ(rng.NextBits(), ref_rng.NextBits());
+        ExpectCountersEq(counters, std_counters);
+        ExpectNextBitsEq(&rng, &ref_rng, &std_coin);
         // Simulate alone returns the same count from the same draws.
         TraversalCounters scratch;
-        EXPECT_EQ(sim.Simulate(seeds, &rng, &scratch),
-                  ReferenceSimulate(c.ig, seeds, &ref_rng, &scratch).size());
-        ASSERT_EQ(rng.NextBits(), ref_rng.NextBits());
+        const std::uint32_t count = sim.Simulate(seeds, &rng, &scratch);
+        EXPECT_EQ(count,
+                  ReferenceSimulate(c.ig, seeds, RngCoin{&ref_rng}, &scratch)
+                      .size());
+        EXPECT_EQ(count,
+                  ReferenceSimulate(c.ig, seeds, std_coin, &scratch).size());
+        ExpectNextBitsEq(&rng, &ref_rng, &std_coin);
       }
     }
   }
@@ -203,17 +241,22 @@ TEST(SamplingKernelTest, RrSetsMatchReference) {
     RrSampler sampler(&c.ig);
     Rng coin(21);
     Rng ref_coin(21);
+    StdCoin std_coin{std::mt19937_64(21)};
     TraversalCounters counters;
     TraversalCounters ref_counters;
+    TraversalCounters std_counters;
     // The output vector is reused, so stale entries must never leak.
     std::vector<VertexId> rr_set = {n - 1, n - 1, n - 1};
     for (int round = 0; round < 3; ++round) {
       for (VertexId target = 0; target < n; ++target) {
         sampler.SampleForTarget(target, &coin, &rr_set, &counters);
-        ASSERT_EQ(rr_set, ReferenceRrSet(c.ig, target, &ref_coin,
+        ASSERT_EQ(rr_set, ReferenceRrSet(c.ig, target, RngCoin{&ref_coin},
                                          &ref_counters));
+        ASSERT_EQ(rr_set,
+                  ReferenceRrSet(c.ig, target, std_coin, &std_counters));
         ExpectCountersEq(counters, ref_counters);
-        ASSERT_EQ(coin.NextBits(), ref_coin.NextBits());
+        ExpectCountersEq(counters, std_counters);
+        ExpectNextBitsEq(&coin, &ref_coin, &std_coin);
       }
     }
     Rng target_rng(31);
@@ -221,12 +264,26 @@ TEST(SamplingKernelTest, RrSetsMatchReference) {
     for (int i = 0; i < 500; ++i) {
       sampler.Sample(&target_rng, &coin, &rr_set, &counters);
       const auto target = static_cast<VertexId>(ref_target_rng.UniformInt(n));
+      ASSERT_EQ(rr_set, ReferenceRrSet(c.ig, target, RngCoin{&ref_coin},
+                                       &ref_counters));
       ASSERT_EQ(rr_set,
-                ReferenceRrSet(c.ig, target, &ref_coin, &ref_counters));
+                ReferenceRrSet(c.ig, target, std_coin, &std_counters));
       ExpectCountersEq(counters, ref_counters);
+      ExpectCountersEq(counters, std_counters);
       ASSERT_EQ(target_rng.NextBits(), ref_target_rng.NextBits());
-      ASSERT_EQ(coin.NextBits(), ref_coin.NextBits());
+      ExpectNextBitsEq(&coin, &ref_coin, &std_coin);
     }
+    // AppendSample makes the same draws and appends the same set.
+    std::vector<VertexId> flat = {n - 1};
+    sampler.AppendSample(&target_rng, &coin, &flat, &counters);
+    const auto target = static_cast<VertexId>(ref_target_rng.UniformInt(n));
+    std::vector<VertexId> want = {n - 1};
+    const std::vector<VertexId> ref = ReferenceRrSet(
+        c.ig, target, RngCoin{&ref_coin}, &ref_counters);
+    want.insert(want.end(), ref.begin(), ref.end());
+    ASSERT_EQ(flat, want);
+    ExpectCountersEq(counters, ref_counters);
+    ASSERT_EQ(coin.NextBits(), ref_coin.NextBits());
   }
 }
 
@@ -236,8 +293,10 @@ TEST(SamplingKernelTest, SnapshotsMatchReference) {
     SnapshotSampler sampler(&c.ig);
     Rng rng(41);
     Rng ref_rng(41);
+    StdCoin std_coin{std::mt19937_64(41)};
     TraversalCounters counters;
     TraversalCounters ref_counters;
+    TraversalCounters std_counters;
     Snapshot reused;
     for (int i = 0; i < 40; ++i) {
       const bool into = i % 2 == 1;
@@ -250,11 +309,16 @@ TEST(SamplingKernelTest, SnapshotsMatchReference) {
         EXPECT_EQ(fresh.out_targets.capacity(), fresh.out_targets.size());
       }
       const Snapshot& got = into ? reused : fresh;
-      Snapshot want = ReferenceSnapshot(c.ig, &ref_rng, &ref_counters);
+      Snapshot want =
+          ReferenceSnapshot(c.ig, RngCoin{&ref_rng}, &ref_counters);
       ASSERT_EQ(got.out_offsets, want.out_offsets);
       ASSERT_EQ(got.out_targets, want.out_targets);
+      Snapshot std_want = ReferenceSnapshot(c.ig, std_coin, &std_counters);
+      ASSERT_EQ(got.out_offsets, std_want.out_offsets);
+      ASSERT_EQ(got.out_targets, std_want.out_targets);
       ExpectCountersEq(counters, ref_counters);
-      ASSERT_EQ(rng.NextBits(), ref_rng.NextBits());
+      ExpectCountersEq(counters, std_counters);
+      ExpectNextBitsEq(&rng, &ref_rng, &std_coin);
     }
   }
 }
